@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .bivalent import MatrixTable
+from .bivalent import MatrixTable, apply_mask, variable_masks
 from .core import (
     Binary,
     CONNECTIVES,
@@ -166,6 +166,10 @@ class EnumerationSpec:
                 f"shape_policy must be one of {SHAPE_POLICIES}, "
                 f"got {self.shape_policy!r}"
             )
+        if self.emit_limit is not None and self.emit_limit < 0:
+            raise EnumerationBoundError(
+                f"emit_limit must be at least 0, got {self.emit_limit}"
+            )
 
 
 # A shape is () for a leaf or (left_shape, right_shape) for a connective slot.
@@ -247,33 +251,6 @@ class EnumerationResult:
         return sum(s.distinct for s in self.per_slot)
 
 
-def _mask_tables(var_count: int) -> tuple[dict[str, int], int]:
-    """Bitmask per variable over all 2**var_count assignments."""
-    rows = 1 << var_count
-    masks: dict[str, int] = {}
-    for i, name in enumerate(VARIABLE_POOL[:var_count]):
-        mask = 0
-        for row in range(rows):
-            if row & (1 << (var_count - 1 - i)):
-                mask |= 1 << row
-        masks[name] = mask
-    return masks, (1 << rows) - 1
-
-
-def _mask_apply(conn: Connective, left: int, right: int, full: int) -> int:
-    v = conn.vector
-    out = 0
-    if v[0] is _T:
-        out |= left & right
-    if v[1] is _T:
-        out |= left & ~right
-    if v[2] is _T:
-        out |= ~left & right
-    if v[3] is _T:
-        out |= ~left & ~right
-    return out & full
-
-
 def _mask_eval(shape: _Shape, leaf_masks: list[int], conns: list[Connective],
                full: int) -> int:
     if shape == ():
@@ -281,7 +258,7 @@ def _mask_eval(shape: _Shape, leaf_masks: list[int], conns: list[Connective],
     conn = conns.pop(0)
     left = _mask_eval(shape[0], leaf_masks, conns, full)
     right = _mask_eval(shape[1], leaf_masks, conns, full)
-    return _mask_apply(conn, left, right, full)
+    return apply_mask(conn, left, right, full)
 
 
 def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
@@ -295,7 +272,7 @@ def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
     emissions and structurally distinct formulas per slot count.
     """
     names = VARIABLE_POOL[: spec.max_variables]
-    name_masks, full = _mask_tables(spec.max_variables)
+    name_masks, full = variable_masks(names)
     variables = {name: Variable(name) for name in names}
     emitted: list[EmittedTautology] = []
     per_slot: list[SlotSummary] = []

@@ -45,23 +45,70 @@ class VariableLimitError(Exception):
         self.limit = limit
 
 
-def evaluate(formula: Formula, assignment: Mapping[str, TruthValue]) -> TruthValue:
-    """Evaluate under an assignment covering every variable of the formula."""
+_T = TruthValue.T
+_F = TruthValue.F
+
+
+def variable_masks(names: Sequence[str]) -> tuple[dict[str, int], int]:
+    """One bitmask per variable, set on the rows where it is t, plus the
+    all-rows mask; bit k stands for row k in t-first order."""
+    block = 1 << len(names)
+    full = mask = (1 << block) - 1
+    masks = {}
+    for name in names:
+        # Halve the blocks: t-blocks of `block` rows alternating with f-blocks.
+        block >>= 1
+        mask = (mask ^ (mask << block)) & full
+        masks[name] = mask
+    return masks, full
+
+
+def apply_mask(conn: Connective, left: int, right: int, full: int) -> int:
+    """A connective applied row-wise to two truth vectors."""
+    v = conn.vector
+    out = 0
+    if v[0] is _T:
+        out |= left & right
+    if v[1] is _T:
+        out |= left & ~right
+    if v[2] is _T:
+        out |= ~left & right
+    if v[3] is _T:
+        out |= ~left & ~right
+    return out & full
+
+
+def truth_vector(formula: Formula, masks: Mapping[str, int], full: int) -> int:
+    """The formula's value on every row at once: bit k is set where row k
+    makes it true.  `masks` and `full` come from `variable_masks`."""
     match formula:
         case Constant(value):
-            return value
+            return full if value is _T else 0
         case Variable(name):
             try:
-                return assignment[name]
+                return masks[name]
             except KeyError:
                 raise MissingVariableError(name) from None
         case Negation(operand):
-            return evaluate(operand, assignment).opposite()
+            return full ^ truth_vector(operand, masks, full)
         case Binary(connective, left, right):
-            return connective.apply(
-                evaluate(left, assignment), evaluate(right, assignment)
-            )
+            a, b = truth_vector(left, masks, full), truth_vector(right, masks, full)
+            return apply_mask(connective, a, b, full)
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def evaluate(formula: Formula, assignment: Mapping[str, TruthValue]) -> TruthValue:
+    """Evaluate under an assignment covering every variable of the formula."""
+    masks = {name: int(value is _T) for name, value in assignment.items()}
+    return _T if truth_vector(formula, masks, 1) else _F
+
+
+def _row(names: Sequence[str], bits: int) -> Assignment | None:
+    """The assignment of the lowest row set in `bits`, if any."""
+    if not bits:
+        return None
+    row = format((bits & -bits).bit_length() - 1, f"0{len(names)}b")
+    return {name: _F if bit == "1" else _T for name, bit in zip(names, row)}
 
 
 def assignments(
@@ -70,9 +117,7 @@ def assignments(
     """All assignments over `variables`, leftmost variable varying slowest."""
     if row_order not in ROW_ORDERS:
         raise ValueError(f"row_order must be one of {ROW_ORDERS}, got {row_order!r}")
-    values = (TruthValue.T, TruthValue.F)
-    if row_order == "f-first":
-        values = (TruthValue.F, TruthValue.T)
+    values = (_F, _T) if row_order == "f-first" else (_T, _F)
     for combo in product(values, repeat=len(variables)):
         yield dict(zip(variables, combo))
 
@@ -97,8 +142,14 @@ def truth_table(
     """Full truth table; a closed formula yields one empty-assignment row."""
     names = variables_of(formula)
     _check_limit(names, limit)
+    masks, full = variable_masks(names)
+    # Most significant bit first is the f-first order; t-first reverses it.
+    bits = format(truth_vector(formula, masks, full), f"0{1 << len(names)}b")
+    if row_order == "t-first":
+        bits = bits[::-1]
     rows = tuple(
-        (a, evaluate(formula, a)) for a in assignments(names, row_order)
+        (a, _T if bit == "1" else _F)
+        for a, bit in zip(assignments(names, row_order), bits)
     )
     return TruthTable(tuple(names), rows, row_order)
 
@@ -130,11 +181,12 @@ def format_truth_table(
     header: str,
     symbols: tuple[str, str] = ("t", "f"),
 ) -> str:
-    """Plain-text table: variable columns, a separator bar, the formula value."""
+    """Plain-text table: variable columns, a separator bar, the formula value.
+    Also prints a triadic table, whose V, L and F ignore `symbols`."""
     t_sym, f_sym = symbols
 
-    def sym(v: TruthValue) -> str:
-        return t_sym if v is TruthValue.T else f_sym
+    def sym(v) -> str:
+        return t_sym if v is _T else f_sym if v is _F else v.value
 
     widths = [max(len(name), 1) for name in table.variables]
     head_cells = [name.ljust(w) for name, w in zip(table.variables, widths)]
@@ -164,21 +216,10 @@ class Verdict:
 def classify(formula: Formula, limit: int = DEFAULT_VARIABLE_LIMIT) -> Verdict:
     names = variables_of(formula)
     _check_limit(names, limit)
-    falsifying: Assignment | None = None
-    satisfying: Assignment | None = None
-    for a in assignments(names):
-        if evaluate(formula, a) is TruthValue.T:
-            if satisfying is None:
-                satisfying = a
-        elif falsifying is None:
-            falsifying = a
-    if falsifying is None:
-        kind = "tautology"
-    elif satisfying is None:
-        kind = "contradiction"
-    else:
-        kind = "contingent"
-    return Verdict(kind, falsifying, satisfying)
+    masks, full = variable_masks(names)
+    vector = truth_vector(formula, masks, full)
+    kind = {full: "tautology", 0: "contradiction"}.get(vector, "contingent")
+    return Verdict(kind, _row(names, full ^ vector), _row(names, vector))
 
 
 @dataclass(frozen=True)
@@ -195,17 +236,12 @@ def entails(
     """Semantic entailment over the combined variables of premises and
     conclusion; the counterexample, if any, is the first row in canonical
     order making every premise true and the conclusion false."""
-    names: dict[str, None] = {}
-    for p in premises:
-        for name in variables_of(p):
-            names.setdefault(name, None)
-    for name in variables_of(conclusion):
-        names.setdefault(name, None)
-    ordered = list(names)
+    ordered = list(dict.fromkeys(
+        name for f in (*premises, conclusion) for name in variables_of(f)
+    ))
     _check_limit(ordered, limit)
-    for a in assignments(ordered):
-        if all(evaluate(p, a) is TruthValue.T for p in premises) and (
-            evaluate(conclusion, a) is TruthValue.F
-        ):
-            return EntailmentResult(False, a)
-    return EntailmentResult(True, None)
+    masks, full = variable_masks(ordered)
+    bad = full ^ truth_vector(conclusion, masks, full)
+    for p in premises:
+        bad &= truth_vector(p, masks, full)
+    return EntailmentResult(not bad, _row(ordered, bad))

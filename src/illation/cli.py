@@ -202,8 +202,17 @@ def _config(args: argparse.Namespace) -> SyntaxConfig:
 
 def _read_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            return handle.read().strip()
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                return handle.read().strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"cannot read {args.file}: not valid UTF-8 at byte {exc.start}"
+            ) from None
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read {args.file}: {exc.strerror or exc}"
+            ) from None
     if args.formula is None:
         parser.error("a formula argument or --file is required")
     if args.formula == "-":
@@ -491,15 +500,7 @@ def _cmd_triadic(args, parser) -> int:
             ],
         })
     else:
-        widths = [max(len(name), 1) for name in table.variables]
-        header = " ".join(n.ljust(w) for n, w in zip(table.variables, widths))
-        print((header + " | " + render(formula, config)).rstrip()
-              if header else "| " + render(formula, config))
-        for a, value in table.rows:
-            cells = " ".join(
-                a[n].value.ljust(w) for n, w in zip(table.variables, widths)
-            )
-            print((cells + " | " if cells else "| ") + value.value)
+        print(format_truth_table(table, render(formula, config)))
     return EXIT_OK
 
 

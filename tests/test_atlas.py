@@ -189,6 +189,7 @@ class TestEnumerationSpec:
             {"max_connective_slots": -1},
             {"max_connective_slots": 6},
             {"shape_policy": "wide"},
+            {"emit_limit": -1},
         ],
     )
     def test_bounds(self, kwargs):

@@ -33,10 +33,11 @@ from illation.core import (
     conj,
     disj,
     implies,
+    variables_of,
 )
 from illation.notation import Notation, SyntaxConfig, parse
 
-from helpers import brute_force_kind, eval_bool, random_formula, to_value
+from helpers import BOOL_OPS, brute_force_kind, eval_bool, random_formula, to_value
 
 T, F = TruthValue.T, TruthValue.F
 A, B, C = Variable("a"), Variable("b"), Variable("c")
@@ -46,6 +47,19 @@ PEIRCE_ASCII = SyntaxConfig(Notation.PEIRCE, "ascii")
 
 def pa(text: str):
     return parse(text, PEIRCE_ASCII)
+
+
+def reference_rows(formulas, names, row_order="t-first"):
+    """Each assignment in `row_order` with the values of `formulas` on it,
+    computed by the plain-bool reference evaluator."""
+    for a in assignments(names, row_order):
+        env = {name: value is T for name, value in a.items()}
+        yield a, [eval_bool(f, env) for f in formulas]
+
+
+def any_formula(rng, max_depth):
+    """Random formula over all sixteen connectives, constants included."""
+    return random_formula(rng, max_depth, connective_names=tuple(BOOL_OPS))
 
 
 class TestEvaluate:
@@ -139,6 +153,20 @@ class TestTruthTable:
         with pytest.raises(VariableLimitError):
             truth_table(wide)
 
+    @pytest.mark.parametrize("row_order", ["t-first", "f-first"])
+    def test_rows_match_the_reference_evaluator(self, row_order):
+        rng = random.Random(2718)
+        for _ in range(200):
+            formula = any_formula(rng, max_depth=5)
+            names = variables_of(formula)
+            table = truth_table(formula, row_order=row_order)
+            assert table.variables == tuple(names)
+            assert table.row_order == row_order
+            assert list(table.rows) == [
+                (a, to_value(value))
+                for a, (value,) in reference_rows([formula], names, row_order)
+            ]
+
     def test_variable_limit_is_adjustable(self):
         six = Variable("x0")
         for i in range(1, 6):
@@ -220,15 +248,32 @@ class TestClassify:
         assert verdict.falsifying == {"a": T, "b": F}
 
     def test_witnesses_actually_witness(self):
+        """Each witness is the first row of its kind in canonical order,
+        as found by the reference evaluator."""
         rng = random.Random(4821)
         for _ in range(200):
-            formula = random_formula(rng, max_depth=4)
+            formula = any_formula(rng, max_depth=4)
             verdict = classify(formula)
             assert verdict.kind == brute_force_kind(formula)
-            if verdict.falsifying is not None:
-                assert evaluate(formula, verdict.falsifying) is F
-            if verdict.satisfying is not None:
-                assert evaluate(formula, verdict.satisfying) is T
+            rows = list(reference_rows([formula], variables_of(formula)))
+            assert verdict.falsifying == next(
+                (a for a, (value,) in rows if not value), None
+            )
+            assert verdict.satisfying == next(
+                (a for a, (value,) in rows if value), None
+            )
+
+    def test_witnesses_at_the_default_limit(self):
+        """x0 -< (x1 -< ... -< x19) is false only where x0..x18 are all t
+        and x19 is f, which is the second row; the first row satisfies it."""
+        names = [f"x{i}" for i in range(DEFAULT_VARIABLE_LIMIT)]
+        comb = Variable(names[-1])
+        for name in reversed(names[:-1]):
+            comb = implies(Variable(name), comb)
+        verdict = classify(comb)
+        assert verdict.kind == "contingent"
+        assert verdict.satisfying == {name: T for name in names}
+        assert verdict.falsifying == {**verdict.satisfying, names[-1]: F}
 
     def test_reflexivity_and_chain(self):
         assert classify(pa("a -< a")).kind == "tautology"
@@ -279,15 +324,19 @@ class TestEntails:
         assert result.counterexample == {"a": F, "b": T}
 
     def test_counterexample_satisfies_premises_and_refutes_conclusion(self):
+        """The counterexample is the first row, in canonical order, where the
+        reference evaluator makes every premise true and the conclusion false."""
         rng = random.Random(1709)
         for _ in range(100):
-            premises = [random_formula(rng, 3) for _ in range(rng.randint(0, 3))]
-            conclusion = random_formula(rng, 3)
+            premises = [any_formula(rng, 3) for _ in range(rng.randint(0, 3))]
+            conclusion = any_formula(rng, 3)
+            names = list(dict.fromkeys(
+                n for f in (*premises, conclusion) for n in variables_of(f)
+            ))
             result = entails(premises, conclusion)
-            if result.counterexample is None:
-                continue
-            assert all(evaluate(p, result.counterexample) is T for p in premises)
-            assert evaluate(conclusion, result.counterexample) is F
+            rows = reference_rows([*premises, conclusion], names)
+            first = next((a for a, (*ps, c) in rows if all(ps) and not c), None)
+            assert result == EntailmentResult(first is None, first)
 
     def test_no_premises_means_tautology_check(self):
         assert entails([], pa("a + -a")).valid

@@ -298,6 +298,25 @@ class TestTriadic:
         assert code == 0
         assert out.splitlines()[1:] == ["V | V", "L | L", "F | V"]
 
+    def test_table_keeps_v_l_f_in_peirce_notation(self):
+        code, out, _ = run_cli(
+            "triadic", "table", "--notation", "peirce", "--encoding", "ascii",
+            "x + -y",
+        )
+        assert code == 0
+        assert out == (
+            "x y | x + -y\n"
+            "V V | V\n"
+            "V L | V\n"
+            "V F | V\n"
+            "L V | L\n"
+            "L L | L\n"
+            "L F | V\n"
+            "F V | F\n"
+            "F L | L\n"
+            "F F | V\n"
+        )
+
     def test_check_restriction(self):
         code, out, _ = run_cli("triadic", "check-restriction")
         assert code == 0
@@ -376,6 +395,11 @@ class TestConnectives:
         assert code == 4
         assert "must be 1..3" in err
 
+    def test_enumerate_negative_limit_exit(self):
+        code, out, err = run_cli("connectives", "enumerate", "--limit", "-1")
+        assert (code, out) == (4, "")
+        assert err == "error: emit_limit must be at least 0, got -1\n"
+
 
 class TestSyllogism:
     def test_render(self):
@@ -446,6 +470,21 @@ class TestErrorsAndPlumbing:
     def test_unknown_subcommand(self):
         code, _, _ = run_cli("frobnicate")
         assert code == 2
+
+    def test_missing_file(self, tmp_path):
+        path = str(tmp_path / "absent.txt")
+        code, out, err = run_cli("check", "--file", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: No such file or directory\n"
+        assert "Traceback" not in err
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"a -> \xe9")
+        code, out, err = run_cli("parse", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: not valid UTF-8 at byte 5\n"
+        assert "Traceback" not in err
 
     def test_version(self):
         code, out, _ = run_cli("--version")
