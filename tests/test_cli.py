@@ -29,7 +29,7 @@ class TestParse:
     def test_stdin_dash(self, monkeypatch):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("a & b\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a & b\n")))
         code, out, _ = run_cli("parse", "-")
         assert (code, out) == (0, "a & b\n")
 
@@ -121,6 +121,11 @@ class TestTable:
         assert payload["variables"] == ["a", "b"]
         assert [row["value"] for row in payload["rows"]] == ["t", "f", "t", "t"]
         assert payload["rows"][1]["assignment"] == {"a": "t", "b": "f"}
+
+    def test_row_order_belongs_to_table_alone(self):
+        code, out, err = run_cli("triadic", "table", "--row-order", "f-first", "x")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --row-order" in err
 
     def test_variable_limit_exit(self):
         wide = " | ".join(f"x{i}" for i in range(21))
@@ -261,6 +266,18 @@ class TestTriadic:
             "F | F F F\n"
         )
 
+    def test_tables_json(self):
+        code, out, _ = run_cli("triadic", "tables", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "schema": 1,
+            "command": "triadic tables",
+            "values": ["V", "L", "F"],
+            "negation": ["F", "L", "V"],
+            "disjunction": [["V", "V", "V"], ["V", "L", "L"], ["V", "L", "F"]],
+            "conjunction": [["V", "L", "F"], ["L", "L", "F"], ["F", "F", "F"]],
+        }
+
     def test_tables_unicode(self):
         code, out, _ = run_cli("triadic", "tables", "--encoding", "unicode")
         assert code == 0
@@ -400,6 +417,13 @@ class TestConnectives:
         assert (code, out) == (4, "")
         assert err == "error: emit_limit must be at least 0, got -1\n"
 
+    def test_enumerate_count_only_still_validates_the_limit(self):
+        code, out, err = run_cli(
+            "connectives", "enumerate", "--count-only", "--limit", "-1"
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: emit_limit must be at least 0, got -1\n"
+
 
 class TestSyllogism:
     def test_render(self):
@@ -486,27 +510,60 @@ class TestErrorsAndPlumbing:
         assert err == f"error: cannot read {path}: not valid UTF-8 at byte 5\n"
         assert "Traceback" not in err
 
+    def test_stdin_that_is_not_utf8(self, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a \xff b")))
+        code, out, err = run_cli("parse", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read <stdin>: not valid UTF-8 at byte 2\n"
+
+    def test_deep_brackets_exit_on_the_size_bound(self):
+        code, out, err = run_cli("parse", "(" * 600 + "a" + ")" * 600)
+        assert (code, out, err) == (4, "", "error: formula nested too deeply\n")
+
+    def test_deep_negation_is_not_a_failed_check(self):
+        code, out, err = run_cli("check", "--status", "!" * 1000 + "a")
+        assert (code, out, err) == (4, "", "error: formula nested too deeply\n")
+
     def test_version(self):
         code, out, _ = run_cli("--version")
         assert code == 0
         assert out.startswith("illation ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "path, argv",
         [
-            ("parse", "--format", "json", "a -> b"),
-            ("check", "--format", "json", "a & !a"),
-            ("table", "--format", "json", "a | b"),
-            ("entails", "--format", "json", "-p", "a", "a"),
-            ("indirect", "--format", "json", "a -> a"),
+            pytest.param(path, argv, id=path)
+            for path, argv in [
+                ("parse", ["a -> b"]),
+                ("check", ["a & !a"]),
+                ("table", ["a | b"]),
+                ("entails", ["-p", "a", "a"]),
+                ("indirect", ["a -> a"]),
+                ("translate", ["--from", "modern", "--to", "peirce", "a -> b"]),
+                ("matrix", ["implication"]),
+                ("triadic tables", []),
+                ("triadic eval", ["--assign", "x=L", "!x"]),
+                ("triadic table", ["x | !x"]),
+                ("triadic check-restriction", []),
+                ("connectives catalog", []),
+                ("connectives paper-table", []),
+                ("connectives identify", ["v,f,f,v"]),
+                ("connectives xframe", ["implication"]),
+                ("connectives enumerate", ["--vars", "2", "--slots", "1"]),
+                ("syllogism render", ["A", "a", "b"]),
+                ("syllogism barbara", []),
+                ("syllogism aeio-table", []),
+            ]
         ],
-        ids=["parse", "check", "table", "entails", "indirect"],
     )
-    def test_json_outputs_are_well_formed(self, argv):
-        code, out, _ = run_cli(*argv)
+    def test_json_outputs_are_well_formed(self, path, argv):
+        code, out, _ = run_cli(*path.split(), "--format", "json", *argv)
         assert code == 0
         payload = json.loads(out)
         assert payload["schema"] == 1
+        assert payload["command"] == path
 
     def test_deterministic_output(self):
         argv = ("indirect", "--notation", "peirce", "(((a -< b) -< c) -< d) -< e")
