@@ -280,7 +280,6 @@ def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
     for slots in range(spec.max_connective_slots + 1):
         generated = 0
         tautologies = 0
-        distinct: set[Formula] = set()
         for shape in _shapes_for(spec.shape_policy, slots):
             leaf_count = _leaf_count(shape)
             for conns in product(CONNECTIVES, repeat=slots):
@@ -290,13 +289,14 @@ def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
                     if _mask_eval(shape, masks, list(conns), full) != full:
                         continue
                     tautologies += 1
-                    formula = _build(
-                        shape,
-                        [variables[n] for n in leaves],
-                        list(conns),
-                    )
-                    distinct.add(formula)
                     if limit is None or len(emitted) < limit:
+                        formula = _build(
+                            shape,
+                            [variables[n] for n in leaves],
+                            list(conns),
+                        )
                         emitted.append(EmittedTautology(formula, conns, slots))
-        per_slot.append(SlotSummary(slots, generated, tautologies, len(distinct)))
+        # A tree gives back the shape, connectives and leaves that built it,
+        # so no two fillings build the same tree: every tautology is distinct.
+        per_slot.append(SlotSummary(slots, generated, tautologies, tautologies))
     return EnumerationResult(spec, tuple(emitted), tuple(per_slot))

@@ -17,7 +17,8 @@ Rules applied to a constrained column:
   whose P-value admits both Q-values inside S contributes the case "P = p
   alone" (Q stays unconstrained), symmetrically for Q, and any other pair
   contributes the two-sided case; duplicate cases are dropped.  The one-sided
-  cases are what leave dashes behind.
+  cases are what leave dashes behind.  This rule is tabulated once per
+  connective and value; a node maps its operand positions to columns.
 
 A branch closes when some column would be bound to both values.  The source
 tables show only forced rows; case splitting is an addition here, since
@@ -30,10 +31,13 @@ yields f.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .core import (
+    CONNECTIVES,
     Binary,
+    Connective,
     Constant,
     Formula,
     INPUT_PAIRS,
@@ -73,156 +77,134 @@ class IndirectResult:
     trace: IndirectTrace
 
 
+_Bindings = tuple[tuple[int, TruthValue], ...]
+# (forced bindings, case split) for one node bound to one value; None closes.
+_Rule = tuple[_Bindings, tuple[_Bindings, ...]] | None
+
+
+def _connective_rule(conn: Connective, w: TruthValue) -> _Rule:
+    """The binary rule for conn(P, Q) = w over operand positions 0 (P) and
+    1 (Q): None when no input pair gives w, else the forced bindings and, when
+    nothing is forced, the cases in canonical pair order."""
+    support = [pair for pair, out in zip(INPUT_PAIRS, conn.vector) if out is w]
+    if not support:
+        return None
+    agreed = [{pair[pos] for pair in support} for pos in (0, 1)]
+    forced = tuple((pos, *vals) for pos, vals in enumerate(agreed) if len(vals) == 1)
+    if forced:
+        return forced, ()
+    cases = dict.fromkeys(
+        ((0, p),) if (p, q.opposite()) in support
+        else ((1, q),) if (p.opposite(), q) in support
+        else ((0, p), (1, q))
+        for p, q in support
+    )
+    return (), tuple(cases)
+
+
+_Table = dict[TruthValue, _Rule]
+_CONNECTIVE_RULES: dict[tuple[TruthValue, ...], _Table] = {
+    conn.vector: {w: _connective_rule(conn, w) for w in TruthValue}
+    for conn in CONNECTIVES
+}
+_NEGATION_RULES: _Table = {w: (((0, w.opposite()),), ()) for w in TruthValue}
+_CONSTANT_RULES = {v: {v: ((), ()), v.opposite(): None} for v in TruthValue}
+_VARIABLE_RULES: _Table = dict.fromkeys(TruthValue, ((), ()))
+
+
+def _node_rules(
+    node: Formula, index: dict[Formula, int]
+) -> tuple[_Table, tuple[int, ...]]:
+    """A column's rule table and the column of each operand position."""
+    match node:
+        case Negation(operand):
+            return _NEGATION_RULES, (index[operand],)
+        case Binary(conn, left, right):
+            return _CONNECTIVE_RULES[conn.vector], (index[left], index[right])
+        case Constant(value):
+            return _CONSTANT_RULES[value], ()
+    return _VARIABLE_RULES, ()
+
+
+def _to_columns(operands: tuple[int, ...], bindings: _Bindings) -> _Bindings:
+    return tuple((operands[pos], v) for pos, v in bindings)
+
+
+def _bind(values: list[TruthValue | None], bindings: _Bindings) -> list[int] | None:
+    """Bind each column to its value; the newly bound columns, or None when
+    one already holds the other value (the columns before it stay bound)."""
+    bound: list[int] = []
+    for j, v in bindings:
+        current = values[j]
+        if current is None:
+            values[j] = v
+            bound.append(j)
+        elif current is not v:
+            return None
+    return bound
+
+
 def indirect_check(formula: Formula) -> IndirectResult:
     columns = subformulas(formula)
     index = {sub: i for i, sub in enumerate(columns)}
-    root = len(columns) - 1
+    nodes = [_node_rules(node, index) for node in columns]
     steps: list[TraceStep] = []
-    open_values: list[list[TruthValue | None]] = []
-
-    def derive(values: list[TruthValue | None], j: int, v: TruthValue) -> bool | None:
-        """Bind column j to v; True = newly bound, None = already so,
-        False = contradiction."""
-        current = values[j]
-        if current is v:
-            return None
-        if current is not None:
-            return False
-        values[j] = v
-        return True
-
-    def cases_of(node: Binary, w: TruthValue) -> list[tuple[tuple[int, TruthValue], ...]]:
-        support = [
-            pair
-            for pair, out in zip(INPUT_PAIRS, node.connective.vector)
-            if out is w
-        ]
-        in_support = set(support)
-        left, right = index[node.left], index[node.right]
-        cases: list[tuple[tuple[int, TruthValue], ...]] = []
-        for p, q in support:
-            if (p, TruthValue.T) in in_support and (p, TruthValue.F) in in_support:
-                case = ((left, p),)
-            elif (TruthValue.T, q) in in_support and (TruthValue.F, q) in in_support:
-                case = ((right, q),)
-            else:
-                case = ((left, p), (right, q))
-            if case not in cases:
-                cases.append(case)
-        return cases
 
     def propagate(
-        values: list[TruthValue | None], queue: list[int], pending: list[int]
+        values: list[TruthValue | None], queue: deque[int], pending: list[int]
     ) -> bool:
         """Apply forcing rules until quiet; False when the branch closed."""
         while queue:
-            i = queue.pop(0)
-            node = columns[i]
-            w = values[i]
-            if isinstance(node, Variable):
-                continue
-            if isinstance(node, Constant):
-                if node.value is not w:
-                    steps.append(TraceStep(tuple(values), NOTE_BRANCH_CLOSED))
-                    return False
-                continue
-            moved = False
-            closed = False
-            if isinstance(node, Negation):
-                got = derive(values, index[node.operand], w.opposite())
-                moved = got is True
-                closed = got is False
-                if moved:
-                    queue.append(index[node.operand])
-            else:
-                assert isinstance(node, Binary)
-                support = [
-                    pair
-                    for pair, out in zip(INPUT_PAIRS, node.connective.vector)
-                    if out is w
-                ]
-                if not support:
-                    steps.append(TraceStep(tuple(values), NOTE_BRANCH_CLOSED))
-                    return False
-                left_values = {p for p, _ in support}
-                right_values = {q for _, q in support}
-                for j, agreed in (
-                    (index[node.left], left_values),
-                    (index[node.right], right_values),
-                ):
-                    if closed or len(agreed) != 1:
-                        continue
-                    got = derive(values, j, next(iter(agreed)))
-                    if got is True:
-                        moved = True
-                        queue.append(j)
-                    elif got is False:
-                        closed = True
-                if len(left_values) > 1 and len(right_values) > 1:
-                    pending.append(i)
-            if moved or closed:
-                steps.append(
-                    TraceStep(
-                        tuple(values),
-                        NOTE_BRANCH_CLOSED if closed else NOTE_FORCED,
-                    )
-                )
-            if closed:
+            i = queue.popleft()
+            table, operands = nodes[i]
+            rule = table[values[i]]
+            bound = None if rule is None else _bind(
+                values, _to_columns(operands, rule[0])
+            )
+            if bound is None:
+                steps.append(TraceStep(tuple(values), NOTE_BRANCH_CLOSED))
                 return False
+            if bound:
+                steps.append(TraceStep(tuple(values), NOTE_FORCED))
+                queue.extend(bound)
+            if rule[1]:
+                pending.append(i)
         return True
 
     def explore(
-        values: list[TruthValue | None], queue: list[int], pending: list[int]
-    ) -> bool:
-        """Depth-first search; True once an open branch has been found."""
+        values: list[TruthValue | None], queue: deque[int], pending: list[int]
+    ) -> list[TruthValue | None] | None:
+        """Depth-first search; the values of the first open branch, if any."""
         if not propagate(values, queue, pending):
-            return False
+            return None
         if not pending:
-            open_values.append(values)
-            return True
-        node_index, rest = pending[0], pending[1:]
-        node = columns[node_index]
-        assert isinstance(node, Binary)
-        for case in cases_of(node, values[node_index]):
+            return values
+        i, rest = pending[0], pending[1:]
+        table, operands = nodes[i]
+        # De-duplicated over columns: both operands may be one column.
+        cases = dict.fromkeys(_to_columns(operands, c) for c in table[values[i]][1])
+        for case in cases:
             branch = list(values)
-            new_columns: list[int] = []
-            closed = False
-            for j, v in case:
-                got = derive(branch, j, v)
-                if got is True:
-                    new_columns.append(j)
-                elif got is False:
-                    closed = True
-                    break
-            steps.append(
-                TraceStep(
-                    tuple(branch),
-                    NOTE_BRANCH_CLOSED if closed else NOTE_BRANCH_OPEN,
-                )
-            )
-            if closed:
-                continue
-            if explore(branch, new_columns, list(rest)):
-                return True
-        return False
+            bound = _bind(branch, case)
+            note = NOTE_BRANCH_CLOSED if bound is None else NOTE_BRANCH_OPEN
+            steps.append(TraceStep(tuple(branch), note))
+            if bound is not None:
+                found = explore(branch, deque(bound), list(rest))
+                if found is not None:
+                    return found
+        return None
 
     start: list[TruthValue | None] = [None] * len(columns)
-    start[root] = TruthValue.F
+    start[-1] = TruthValue.F
     steps.append(TraceStep(tuple(start), NOTE_ROOT))
-    falsifiable = explore(start, [root], [])
+    final = explore(start, deque([len(columns) - 1]), [])
     trace = IndirectTrace(tuple(columns), tuple(steps))
-    if not falsifiable:
+    if final is None:
         return IndirectResult("tautology", None, (), trace)
-    final = open_values[0]
-    countermodel: dict[str, TruthValue] = {}
-    unconstrained: list[str] = []
-    for name in variables_of(formula):
-        value = final[index[Variable(name)]]
-        if value is None:
-            unconstrained.append(name)
-        else:
-            countermodel[name] = value
-    return IndirectResult("falsifiable", countermodel, tuple(unconstrained), trace)
+    found = {name: final[index[Variable(name)]] for name in variables_of(formula)}
+    countermodel = {name: v for name, v in found.items() if v is not None}
+    unconstrained = tuple(name for name, v in found.items() if v is None)
+    return IndirectResult("falsifiable", countermodel, unconstrained, trace)
 
 
 def render_trace(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> str:
@@ -231,16 +213,12 @@ def render_trace(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) ->
     t_sym, f_sym = value_symbols(config.notation)
     headers = [render(column, config) for column in trace.columns]
     widths = [max(display_width(h), 1) for h in headers]
+    symbols = {None: "-", TruthValue.T: t_sym, TruthValue.F: f_sym}
+    cells = [{v: pad_display(s, w) for v, s in symbols.items()} for w in widths]
     lines = [
         "  ".join(pad_display(h, w) for h, w in zip(headers, widths)) + "  | note"
     ]
     for step in trace.steps:
-        cells = []
-        for value, w in zip(step.values, widths):
-            if value is None:
-                cell = "-"
-            else:
-                cell = t_sym if value is TruthValue.T else f_sym
-            cells.append(pad_display(cell, w))
-        lines.append("  ".join(cells) + "  | " + step.note)
+        row = "  ".join(column[v] for column, v in zip(cells, step.values))
+        lines.append(f"{row}  | {step.note}")
     return "\n".join(lines)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .bivalent import MissingVariableError, VariableLimitError
+from .bivalent import MissingVariableError, _check_limit
 from .core import (
     Binary,
     Constant,
@@ -89,6 +89,9 @@ class UnsupportedConnectiveError(Exception):
 
 Assignment3 = dict[str, TriadicValue]
 
+#: Variables allowed before 3**n assignments are enumerated.
+DEFAULT_VARIABLE_LIMIT3 = 12
+
 _CONSTANT3 = {TruthValue.T: _V, TruthValue.F: _F}
 
 
@@ -128,10 +131,11 @@ class TriadicTable:
     rows: tuple[tuple[Assignment3, TriadicValue], ...]
 
 
-def truth_table3(formula: Formula, limit: int = 12) -> TriadicTable:
+def truth_table3(
+    formula: Formula, limit: int = DEFAULT_VARIABLE_LIMIT3
+) -> TriadicTable:
     names = variables_of(formula)
-    if len(names) > limit:
-        raise VariableLimitError(len(names), limit)
+    _check_limit(names, limit)
     rows = tuple((a, evaluate3(formula, a)) for a in assignments3(names))
     return TriadicTable(tuple(names), rows)
 
@@ -142,11 +146,11 @@ def is_tautology3(
 ) -> bool:
     """Whether the formula lands in `designated` on every triadic assignment.
     A designated-value notion is an extension here: the source matrices come
-    with no tautology definition attached."""
-    return all(
-        evaluate3(formula, a) in designated
-        for a in assignments3(variables_of(formula))
-    )
+    with no tautology definition attached.  More than DEFAULT_VARIABLE_LIMIT3
+    variables raise VariableLimitError."""
+    names = variables_of(formula)
+    _check_limit(names, DEFAULT_VARIABLE_LIMIT3)
+    return all(evaluate3(formula, a) in designated for a in assignments3(names))
 
 
 @dataclass(frozen=True)
@@ -161,21 +165,20 @@ class RestrictionReport:
         return not self.mismatches
 
 
-_TO3 = {TruthValue.T: _V, TruthValue.F: _F}
 _FROM3 = {_V: TruthValue.T, _F: TruthValue.F}
 
 
 def restriction_check() -> RestrictionReport:
     mismatches: list[tuple[str, tuple[TruthValue, ...], TriadicValue, TruthValue]] = []
     for value in (TruthValue.T, TruthValue.F):
-        got = neg3(_TO3[value])
+        got = neg3(_CONSTANT3[value])
         expected = value.opposite()
         if _FROM3[got] is not expected:
             mismatches.append(("negation", (value,), got, expected))
     for name, op in (("disjunction", oplus), ("conjunction", zbar)):
         vector = connective(name).vector
         for pair, expected in zip(INPUT_PAIRS, vector):
-            got = op(_TO3[pair[0]], _TO3[pair[1]])
+            got = op(_CONSTANT3[pair[0]], _CONSTANT3[pair[1]])
             if _FROM3[got] is not expected:
                 mismatches.append((name, pair, got, expected))
     return RestrictionReport(tuple(mismatches))

@@ -297,6 +297,7 @@ class TestEnumeratorOutput:
         """Shape plus filling determines the tree, so per-slot raw tautology
         counts and structurally distinct counts coincide."""
         result = run(max_variables=2, max_connective_slots=2,
-                     shape_policy="all-trees", emit_limit=0)
+                     shape_policy="all-trees")
         for summary in result.per_slot:
-            assert summary.distinct == summary.tautologies
+            trees = {e.formula for e in result.emitted if e.slots == summary.slots}
+            assert len(trees) == summary.distinct == summary.tautologies

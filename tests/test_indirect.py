@@ -1,5 +1,6 @@
 """Abbreviated (indirect) truth-table refutation."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 
 from illation.bivalent import classify, evaluate
 from illation.core import (
+    CONNECTIVES,
     Binary,
     Negation,
     TruthValue,
@@ -34,6 +36,8 @@ from helpers import random_formula
 
 T, F = TruthValue.T, TruthValue.F
 PEIRCE_ASCII = SyntaxConfig(Notation.PEIRCE, "ascii")
+MODERN_ASCII = SyntaxConfig(Notation.MODERN, "ascii")
+ALL_CONNECTIVES = tuple(c.name for c in CONNECTIVES)
 NOTES = {NOTE_ROOT, NOTE_FORCED, NOTE_BRANCH_OPEN, NOTE_BRANCH_CLOSED}
 
 
@@ -178,17 +182,26 @@ class TestSmallCases:
         assert result.outcome == "falsifiable"
         assert result.countermodel == {"a": T, "b": F}
 
+    def test_cases_on_one_shared_column_open_one_branch(self):
+        # Both operands of F | F are one column, so the cases P = t and
+        # Q = t are one case.
+        result = indirect_check(parse("!(F | F)", MODERN_ASCII))
+        assert result.outcome == "tautology"
+        assert render_trace(result.trace, MODERN_ASCII) == (
+            "F  F | F  !(F | F)  | note\n"
+            "-  -      f         | root-assumption\n"
+            "-  t      f         | forced\n"
+            "t  t      f         | branch-open\n"
+            "t  t      f         | branch-closed"
+        )
+
 
 class TestAgainstDirectMethod:
     def test_random_corpus_agreement_and_soundness(self):
         rng = random.Random(527)
         for _ in range(300):
             formula = random_formula(
-                rng,
-                max_depth=4,
-                connective_names=(
-                    "implication", "conjunction", "disjunction", "equivalence"
-                ),
+                rng, max_depth=4, connective_names=ALL_CONNECTIVES
             )
             result = indirect_check(formula)
             direct = classify(formula).kind == "tautology"
@@ -199,6 +212,26 @@ class TestAgainstDirectMethod:
                     assignment = dict(result.countermodel)
                     assignment.update({n: fill for n in names})
                     assert evaluate(formula, assignment) is F
+
+    def test_traces_are_pinned(self):
+        """Traces, notes and countermodels over all sixteen connectives and
+        the constants, hashed; any change to a step, its order or a note
+        changes the digest."""
+        rng = random.Random(1883)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            formula = random_formula(
+                rng, max_depth=5, connective_names=ALL_CONNECTIVES
+            )
+            result = indirect_check(formula)
+            digest.update(render_trace(result.trace).encode())
+            digest.update(repr((
+                [step.note for step in result.trace.steps],
+                result.outcome, result.countermodel, result.unconstrained,
+            )).encode())
+        assert digest.hexdigest() == (
+            "a34117ad69681d945cba6167d3071b87d7e41369e33fb60cd18b5f28901d7244"
+        )
 
     def test_determinism(self):
         formula = pa("((a -< b) -< c) -< (b + -a)")

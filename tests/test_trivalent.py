@@ -171,6 +171,13 @@ class TestTautology3:
         with pytest.raises(UnsupportedConnectiveError):
             is_tautology3(implies(Negation(Negation(X)), X))
 
+    def test_variable_limit_before_enumerating(self):
+        wide = Variable("a0")
+        for i in range(1, 13):
+            wide = conj(wide, Variable(f"a{i}"))
+        with pytest.raises(VariableLimitError):
+            is_tautology3(wide)
+
 
 class TestRestriction:
     def test_no_mismatches(self):
