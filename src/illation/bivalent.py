@@ -97,9 +97,22 @@ def truth_vector(formula: Formula, masks: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def _check_kind(name: str, value: object, kind: type) -> None:
+    """Reject a one-row assignment value from the wrong carrier."""
+    if not isinstance(value, kind):
+        raise TypeError(
+            f"{name} is bound to {value!r} ({type(value).__name__}), "
+            f"not a {kind.__name__}"
+        )
+
+
 def evaluate(formula: Formula, assignment: Mapping[str, TruthValue]) -> TruthValue:
-    """Evaluate under an assignment covering every variable of the formula."""
-    masks = {name: int(value is _T) for name, value in assignment.items()}
+    """Evaluate under an assignment covering every variable of the formula.
+    A value that is not a TruthValue raises TypeError."""
+    masks = {}
+    for name, value in assignment.items():
+        _check_kind(name, value, TruthValue)
+        masks[name] = int(value is _T)
     return _T if truth_vector(formula, masks, 1) else _F
 
 

@@ -83,6 +83,11 @@ class Connective:
     def apply(self, left: TruthValue, right: TruthValue) -> TruthValue:
         return self.vector[PAIR_INDEX[(left, right)]]
 
+    def __hash__(self) -> int:
+        # Equal connectives share a column; hashing the vector would go
+        # through Enum.__hash__ four times per formula node.
+        return self.column
+
     def __str__(self) -> str:
         return self.name
 

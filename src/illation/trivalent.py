@@ -10,6 +10,11 @@ UnsupportedConnectiveError rather than guessing.
 
 Restricted to {V, F} the three tables agree with the two-valued negation,
 disjunction and conjunction; `restriction_check` verifies that mechanically.
+
+Evaluation covers all 3**n rows at once: a formula's column is a pair of
+bitmasks (V, F), bit k set where row k gives V, resp. F, and L where neither
+is; negation swaps the pair, the circled plus gives (a.V | b.V, a.F & b.F) and
+the barred Z gives (a.V & b.V, a.F | b.F).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .bivalent import MissingVariableError, _check_limit
+from .bivalent import MissingVariableError, _check_kind, _check_limit
 from .core import (
     Binary,
     Constant,
@@ -95,28 +100,65 @@ DEFAULT_VARIABLE_LIMIT3 = 12
 _CONSTANT3 = {TruthValue.T: _V, TruthValue.F: _F}
 
 
-def evaluate3(formula: Formula, assignment: Mapping[str, TriadicValue]) -> TriadicValue:
-    """Evaluate over the triadic matrices; two-valued constants map t -> V,
-    f -> F."""
+def variable_masks3(names: Sequence[str]) -> tuple[dict[str, tuple[int, int]], int]:
+    """One (V, F) mask pair per variable, set on the rows where it is V and
+    where it is F, plus the all-rows mask; bit k stands for row k in
+    `assignments3` order."""
+    rows = 3 ** len(names)
+    full = (1 << rows) - 1
+    block = rows
+    masks = {}
+    for name in names:
+        # One period is a V-block, an L-block and an F-block; double it to fill.
+        block //= 3
+        v = (1 << block) - 1
+        f = v << 2 * block
+        span = 3 * block
+        while span < rows:
+            v |= v << span
+            f |= f << span
+            span <<= 1
+        masks[name] = (v & full, f & full)
+    return masks, full
+
+
+def truth_vector3(
+    formula: Formula, masks: Mapping[str, tuple[int, int]], full: int
+) -> tuple[int, int]:
+    """The formula's value on every row at once as a (V, F) mask pair; rows
+    in neither mask are L.  Two-valued constants map t -> V, f -> F.  `masks`
+    and `full` come from `variable_masks3`."""
     match formula:
         case Constant(value):
-            return _CONSTANT3[value]
+            return (full, 0) if value is TruthValue.T else (0, full)
         case Variable(name):
             try:
-                return assignment[name]
+                return masks[name]
             except KeyError:
                 raise MissingVariableError(name) from None
         case Negation(operand):
-            return neg3(evaluate3(operand, assignment))
+            v, f = truth_vector3(operand, masks, full)
+            return f, v
         case Binary(conn, left, right):
-            if conn.name == "disjunction":
-                op = oplus
-            elif conn.name == "conjunction":
-                op = zbar
-            else:
+            if conn.name not in ("disjunction", "conjunction"):
                 raise UnsupportedConnectiveError(conn.name)
-            return op(evaluate3(left, assignment), evaluate3(right, assignment))
+            lv, lf = truth_vector3(left, masks, full)
+            rv, rf = truth_vector3(right, masks, full)
+            if conn.name == "disjunction":
+                return lv | rv, lf & rf
+            return lv & rv, lf | rf
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def evaluate3(formula: Formula, assignment: Mapping[str, TriadicValue]) -> TriadicValue:
+    """Evaluate over the triadic matrices; two-valued constants map t -> V,
+    f -> F.  A value that is not a TriadicValue raises TypeError."""
+    masks = {}
+    for name, value in assignment.items():
+        _check_kind(name, value, TriadicValue)
+        masks[name] = (int(value is _V), int(value is _F))
+    v, f = truth_vector3(formula, masks, 1)
+    return _V if v else _F if f else _L
 
 
 def assignments3(variables: Sequence[str]) -> Iterable[Assignment3]:
@@ -136,7 +178,16 @@ def truth_table3(
 ) -> TriadicTable:
     names = variables_of(formula)
     _check_limit(names, limit)
-    rows = tuple((a, evaluate3(formula, a)) for a in assignments3(names))
+    masks, full = variable_masks3(names)
+    v, f = truth_vector3(formula, masks, full)
+    # Row k is bit k, so the binary strings read last row first.
+    width = f"0{3 ** len(names)}b"
+    rows = tuple(
+        (a, _V if vb == "1" else _F if fb == "1" else _L)
+        for a, vb, fb in zip(
+            assignments3(names), format(v, width)[::-1], format(f, width)[::-1]
+        )
+    )
     return TriadicTable(tuple(names), rows)
 
 
@@ -150,7 +201,13 @@ def is_tautology3(
     variables raise VariableLimitError."""
     names = variables_of(formula)
     _check_limit(names, DEFAULT_VARIABLE_LIMIT3)
-    return all(evaluate3(formula, a) in designated for a in assignments3(names))
+    masks, full = variable_masks3(names)
+    v, f = truth_vector3(formula, masks, full)
+    covered = 0
+    for value, mask in zip(TRIADIC_VALUES, (v, full & ~(v | f), f)):
+        if value in designated:
+            covered |= mask
+    return covered == full
 
 
 @dataclass(frozen=True)

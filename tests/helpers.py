@@ -18,6 +18,7 @@ from illation.core import (
     Constant,
     Formula,
     Negation,
+    TriadicValue,
     TruthValue,
     Variable,
     connective,
@@ -58,6 +59,29 @@ def eval_bool(formula: Formula, env: dict[str, bool]) -> bool:
     return BOOL_OPS[formula.connective.name](
         eval_bool(formula.left, env), eval_bool(formula.right, env)
     )
+
+
+# The 1909 matrices as max and min under V > L > F, negation as 2 - rank.
+_TRIADIC_RANK = {TriadicValue.V: 2, TriadicValue.L: 1, TriadicValue.F: 0}
+_BY_RANK = {rank: value for value, rank in _TRIADIC_RANK.items()}
+
+
+def eval_triadic(formula: Formula, env: dict[str, TriadicValue]) -> TriadicValue:
+    """Reference triadic evaluator over ranks: disjunction and conjunction
+    only, as in the source matrices."""
+
+    def rank(node: Formula) -> int:
+        if isinstance(node, Constant):
+            return 2 if node.value is TruthValue.T else 0
+        if isinstance(node, Variable):
+            return _TRIADIC_RANK[env[node.name]]
+        if isinstance(node, Negation):
+            return 2 - rank(node.operand)
+        assert isinstance(node, Binary)
+        op = {"disjunction": max, "conjunction": min}[node.connective.name]
+        return op(rank(node.left), rank(node.right))
+
+    return _BY_RANK[rank(formula)]
 
 
 def brute_force_kind(formula: Formula) -> str:

@@ -28,6 +28,7 @@ from illation.core import (
     Constant,
     IMPLICATION,
     Negation,
+    TriadicValue,
     TruthValue,
     Variable,
     conj,
@@ -97,6 +98,12 @@ class TestEvaluate:
         with pytest.raises(MissingVariableError) as info:
             evaluate(conj(A, B), {"a": T})
         assert "b" in str(info.value)
+
+    @pytest.mark.parametrize("value", [True, TriadicValue.V], ids=repr)
+    def test_a_value_of_the_wrong_kind_is_rejected(self, value):
+        with pytest.raises(TypeError) as info:
+            evaluate(A, {"a": value})
+        assert f"a is bound to {value!r}" in str(info.value)
 
 
 class TestAssignments:

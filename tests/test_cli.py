@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: output fixtures, exit codes, JSON."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
-from helpers import run_cli
+from illation.core import variables_of
+from illation.notation import Notation, SyntaxConfig, render
+
+from helpers import random_formula, run_cli
 
 
 class TestParse:
@@ -332,6 +337,36 @@ class TestTriadic:
             "F V | F\n"
             "F L | L\n"
             "F F | V\n"
+        )
+
+    def test_table_and_eval_stdout_are_pinned(self):
+        """Text and JSON stdout of `triadic table`, and of `triadic eval` on
+        one seeded row, for 304 seeded formulas of up to six variables; the
+        notation-encoding pairs take turns, 38 formulas each."""
+        rng = random.Random(1909)
+        pairs = [(n.value, e) for n in Notation for e in ("unicode", "ascii")]
+        digest = hashlib.sha256()
+        for i in range(304):
+            formula = random_formula(
+                rng, max_depth=5,
+                connective_names=("conjunction", "disjunction"), constants=False,
+            )
+            notation, encoding = pairs[i % len(pairs)]
+            text = render(formula, SyntaxConfig(Notation(notation), encoding))
+            assign = [
+                f"--assign={name}={rng.choice('VLF')}"
+                for name in variables_of(formula)
+            ]
+            for command in (["table"], ["eval", *assign]):
+                for fmt in ("text", "json"):
+                    code, out, err = run_cli(
+                        "triadic", *command, "--notation", notation,
+                        "--encoding", encoding, "--format", fmt, "--", text,
+                    )
+                    assert (code, err) == (0, "")
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "330276faa0af595945c21234e57f94eb85664515d45ae34b49ecf2239efa9292"
         )
 
     def test_check_restriction(self):

@@ -1,6 +1,7 @@
 """The 1909 three-valued matrices and evaluation over them."""
 
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +17,7 @@ from illation.core import (
     disj,
     equiv,
     implies,
+    variables_of,
 )
 from illation.bivalent import MissingVariableError, VariableLimitError
 from illation.trivalent import (
@@ -35,6 +37,8 @@ from illation.trivalent import (
     truth_table3,
     zbar,
 )
+
+from helpers import eval_triadic, random_formula
 
 V, L, F3 = TriadicValue.V, TriadicValue.L, TriadicValue.F
 X, Y = Variable("x"), Variable("y")
@@ -131,6 +135,18 @@ class TestEvaluate3:
         with pytest.raises(MissingVariableError):
             evaluate3(X, {})
 
+    def test_the_left_operand_decides_which_error_wins(self):
+        with pytest.raises(MissingVariableError):
+            evaluate3(disj(Variable("z"), implies(X, X)), {})
+        with pytest.raises(UnsupportedConnectiveError):
+            evaluate3(implies(Variable("z"), X), {})
+
+    def test_a_two_valued_value_is_rejected(self):
+        for formula in (X, Negation(X)):
+            with pytest.raises(TypeError) as info:
+                evaluate3(formula, {"x": TruthValue.T})
+            assert "x is bound to t (TruthValue)" in str(info.value)
+
 
 class TestTable3:
     def test_assignment_order_v_l_f_leftmost_slowest(self):
@@ -147,9 +163,13 @@ class TestTable3:
         table = truth_table3(disj(X, Negation(X)))
         assert [value for _, value in table.rows] == [V, L, V]
 
-    def test_conjunction_table_flattens_the_matrix(self):
-        table = truth_table3(conj(X, Y))
-        flattened = [value for row in ZBAR_ROWS for value in row]
+    @pytest.mark.parametrize(
+        "build, matrix", [(disj, OPLUS_ROWS), (conj, ZBAR_ROWS)],
+        ids=["oplus", "zbar"],
+    )
+    def test_binary_table_flattens_the_matrix(self, build, matrix):
+        table = truth_table3(build(X, Y))
+        flattened = [value for row in matrix for value in row]
         assert [value for _, value in table.rows] == flattened
 
     def test_variable_limit(self):
@@ -177,6 +197,36 @@ class TestTautology3:
             wide = conj(wide, Variable(f"a{i}"))
         with pytest.raises(VariableLimitError):
             is_tautology3(wide)
+
+
+class TestAgainstReference:
+    def test_random_formulas(self):
+        """Every row of `truth_table3`, `evaluate3` on it, and `is_tautology3`
+        under each designated subset, against the rank evaluator."""
+        rng = random.Random(1909)
+        subsets = [
+            frozenset(c) for k in range(4) for c in combinations(TRIADIC_VALUES, k)
+        ]
+        for _ in range(300):
+            formula = random_formula(
+                rng, max_depth=6, names=("p", "q", "r", "s", "t"),
+                connective_names=("conjunction", "disjunction"),
+            )
+            names = variables_of(formula)
+            table = truth_table3(formula)
+            assert table.variables == tuple(names)
+            combos = list(product(TRIADIC_VALUES, repeat=len(names)))
+            assert len(table.rows) == len(combos)
+            values = set()
+            for (assignment, value), combo in zip(table.rows, combos):
+                env = dict(zip(names, combo))
+                expected = eval_triadic(formula, env)
+                assert assignment == env
+                assert value is expected
+                assert evaluate3(formula, env) is expected
+                values.add(expected)
+            for designated in subsets:
+                assert is_tautology3(formula, designated) == (values <= designated)
 
 
 class TestRestriction:
