@@ -14,8 +14,8 @@ the descriptor line is the precise statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence
+from itertools import islice, product
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .bivalent import MatrixTable, apply_mask, variable_masks
 from .core import (
@@ -174,47 +174,47 @@ class EnumerationSpec:
 
 # A shape is () for a leaf or (left_shape, right_shape) for a connective slot.
 _Shape = tuple
+_V = TypeVar("_V")
 
 
-def _all_shapes(slots: int, cache: dict[int, list[_Shape]]) -> list[_Shape]:
-    if slots in cache:
-        return cache[slots]
-    if slots == 0:
-        shapes: list[_Shape] = [()]
-    else:
-        shapes = [
-            (l, r)
-            for i in range(slots)
-            for l in _all_shapes(i, cache)
-            for r in _all_shapes(slots - 1 - i, cache)
-        ]
-    cache[slots] = shapes
-    return shapes
+def _splits(policy: str, slots: int) -> range:
+    """The i for which a `slots`-slot tree may join an i-slot left and a
+    (slots-1-i)-slot right operand; a right comb's left operand is a leaf."""
+    return range(1) if policy == "right-combs" else range(slots)
 
 
 def _shapes_for(policy: str, slots: int) -> list[_Shape]:
-    if policy == "right-combs":
-        shape: _Shape = ()
-        for _ in range(slots):
-            shape = ((), shape)
-        return [shape]
-    return _all_shapes(slots, {})
+    if slots == 0:
+        return [()]
+    return [(l, r) for i in _splits(policy, slots)
+            for l in _shapes_for(policy, i)
+            for r in _shapes_for(policy, slots - 1 - i)]
 
 
-def _leaf_count(shape: _Shape) -> int:
+def _fold(shape: _Shape, conns: Iterator[Connective], leaf: Callable[[], _V],
+          node: Callable[[Connective, _V, _V], _V]) -> _V:
+    """Walk a filled shape: leaves left to right, connectives in pre-order."""
     if shape == ():
-        return 1
-    return _leaf_count(shape[0]) + _leaf_count(shape[1])
+        return leaf()
+    conn = next(conns)
+    left = _fold(shape[0], conns, leaf, node)
+    return node(conn, left, _fold(shape[1], conns, leaf, node))
 
 
-def _build(shape: _Shape, leaves: list[Variable], conns: list[Connective]) -> Formula:
-    """Consume leaves left-to-right and connectives in pre-order."""
-    if shape == ():
-        return leaves.pop(0)
-    conn = conns.pop(0)
-    left = _build(shape[0], leaves, conns)
-    right = _build(shape[1], leaves, conns)
-    return Binary(conn, left, right)
+def _vector_counts(policy: str, max_slots: int, leaf_masks: list[int],
+                   full: int) -> list[dict[int, int]]:
+    """For each slot count k, how many fillings of the policy's k-slot
+    shapes have each truth vector."""
+    maps: list[dict[int, int]] = [dict.fromkeys(leaf_masks, 1)]
+    for k in range(1, max_slots + 1):
+        counts: dict[int, int] = {}
+        for i in _splits(policy, k):
+            for (a, m), (b, n) in product(maps[i].items(), maps[k - 1 - i].items()):
+                for conn in CONNECTIVES:
+                    v = apply_mask(conn, a, b, full)
+                    counts[v] = counts.get(v, 0) + m * n
+        maps.append(counts)
+    return maps
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,12 @@ class SlotSummary:
     slots: int
     generated: int
     tautologies: int
-    distinct: int
+
+    @property
+    def distinct(self) -> int:
+        # A tree gives back the shape, connectives and leaves that built it,
+        # so no two fillings build the same tree: every tautology is distinct.
+        return self.tautologies
 
 
 @dataclass(frozen=True)
@@ -251,14 +256,23 @@ class EnumerationResult:
         return sum(s.distinct for s in self.per_slot)
 
 
-def _mask_eval(shape: _Shape, leaf_masks: list[int], conns: list[Connective],
-               full: int) -> int:
-    if shape == ():
-        return leaf_masks.pop(0)
-    conn = conns.pop(0)
-    left = _mask_eval(shape[0], leaf_masks, conns, full)
-    right = _mask_eval(shape[1], leaf_masks, conns, full)
-    return apply_mask(conn, left, right, full)
+def _tautologies(policy: str, max_slots: int, variables: list[Variable],
+                 leaf_masks: list[int], full: int) -> Iterator[EmittedTautology]:
+    """The tautologies in enumeration order, each built as a tree only when
+    it is drawn."""
+    for slots in range(max_slots + 1):
+        leaf_choices = list(product(variables, repeat=slots + 1))
+        for shape in _shapes_for(policy, slots):
+            for conns in product(CONNECTIVES, repeat=slots):
+                # Every leaf choice at once, in leaf-odometer order.
+                vectors = _fold(shape, iter(conns), lambda: leaf_masks,
+                                lambda c, l, r: [apply_mask(c, a, b, full)
+                                                 for a in l for b in r])
+                for leaves, vector in zip(leaf_choices, vectors):
+                    if vector == full:
+                        formula = _fold(shape, iter(conns), iter(leaves).__next__,
+                                        Binary)
+                        yield EmittedTautology(formula, conns, slots)
 
 
 def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
@@ -268,35 +282,20 @@ def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
     Deterministic order: slot count ascending, shapes in policy order,
     connective choices as an odometer over columns 1..16 (pre-order slots,
     last slot fastest), then leaf choices as an odometer over the variable
-    pool (left-to-right leaves, last leaf fastest).  The summary counts raw
-    emissions and structurally distinct formulas per slot count.
+    pool (left-to-right leaves, last leaf fastest).  The counts come from
+    one map per slot count, from truth vector to the number of fillings
+    with that vector; the fillings are scanned one by one only until the
+    emit limit is reached.
     """
     names = VARIABLE_POOL[: spec.max_variables]
-    name_masks, full = variable_masks(names)
-    variables = {name: Variable(name) for name in names}
-    emitted: list[EmittedTautology] = []
-    per_slot: list[SlotSummary] = []
-    limit = spec.emit_limit
-    for slots in range(spec.max_connective_slots + 1):
-        generated = 0
-        tautologies = 0
-        for shape in _shapes_for(spec.shape_policy, slots):
-            leaf_count = _leaf_count(shape)
-            for conns in product(CONNECTIVES, repeat=slots):
-                for leaves in product(names, repeat=leaf_count):
-                    generated += 1
-                    masks = [name_masks[n] for n in leaves]
-                    if _mask_eval(shape, masks, list(conns), full) != full:
-                        continue
-                    tautologies += 1
-                    if limit is None or len(emitted) < limit:
-                        formula = _build(
-                            shape,
-                            [variables[n] for n in leaves],
-                            list(conns),
-                        )
-                        emitted.append(EmittedTautology(formula, conns, slots))
-        # A tree gives back the shape, connectives and leaves that built it,
-        # so no two fillings build the same tree: every tautology is distinct.
-        per_slot.append(SlotSummary(slots, generated, tautologies, tautologies))
-    return EnumerationResult(spec, tuple(emitted), tuple(per_slot))
+    masks, full = variable_masks(names)
+    leaf_masks = list(masks.values())
+    maps = _vector_counts(spec.shape_policy, spec.max_connective_slots,
+                          leaf_masks, full)
+    per_slot = tuple(SlotSummary(k, sum(m.values()), m.get(full, 0))
+                     for k, m in enumerate(maps))
+    # islice draws nothing at limit 0 and stops the scan once it is reached.
+    emitted = islice(_tautologies(spec.shape_policy, spec.max_connective_slots,
+                                  [Variable(n) for n in names], leaf_masks, full),
+                     spec.emit_limit)
+    return EnumerationResult(spec, tuple(emitted), per_slot)

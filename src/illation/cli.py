@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def formula_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("formula", nargs="?",
-                       help="formula text, or - to read stdin")
+                       help="formula text, or - to read stdin; "
+                            "put a formula that starts with - after --")
         p.add_argument("--file", help="read the formula from a file")
 
     formula_arg(leaf(sub, "parse", _cmd_parse,
@@ -604,7 +605,13 @@ def _cmd_syllogism_aeio_table(args, parser) -> Output:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        message = "unrecognized arguments: " + " ".join(unknown)
+        if any(arg.startswith("-") for arg in unknown):
+            message += ("; a formula that starts with '-' goes after '--', "
+                        "as in: illation parse -- -a")
+        parser.error(message)
     try:
         output = args.handler(args, parser)
         if args.format_ == "json":

@@ -98,6 +98,41 @@ def brute_force_kind(formula: Formula) -> str:
     return "contingent"
 
 
+def reference_enumeration(
+    variable_count: int, max_slots: int, policy: str
+) -> list[tuple[int, set[Formula]]]:
+    """(generated, tautologies) per slot count 0..max_slots for the
+    tautology enumerator, by building every filling of every shape as a
+    tree and evaluating it on every row with `eval_bool`."""
+    names = ("p", "q", "r")[:variable_count]
+    envs = [dict(zip(names, values))
+            for values in product((True, False), repeat=variable_count)]
+    connectives = [connective(name) for name in BOOL_OPS]
+
+    def shapes(slots: int) -> list[tuple]:
+        # () is a leaf; (left, right) a connective slot.  A right comb's
+        # left operand is always a leaf.
+        if slots == 0:
+            return [()]
+        lefts = [0] if policy == "right-combs" else range(slots)
+        return [(left, right) for i in lefts
+                for left in shapes(i) for right in shapes(slots - 1 - i)]
+
+    def fillings(shape: tuple) -> list[Formula]:
+        if shape == ():
+            return [Variable(name) for name in names]
+        return [Binary(conn, left, right) for conn in connectives
+                for left in fillings(shape[0]) for right in fillings(shape[1])]
+
+    result = []
+    for slots in range(max_slots + 1):
+        trees = [tree for shape in shapes(slots) for tree in fillings(shape)]
+        tautologies = {tree for tree in trees
+                       if all(eval_bool(tree, env) for env in envs)}
+        result.append((len(trees), tautologies))
+    return result
+
+
 def to_value(flag: bool) -> TruthValue:
     return TruthValue.T if flag else TruthValue.F
 

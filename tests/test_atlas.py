@@ -1,6 +1,7 @@
 """The printed 1902 connective grid, X-frames, and the tautology enumerator."""
 
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from illation.atlas import (
     PRINTED_ANNOTATIONS,
     PRINTED_GRID,
     QUADRANTS,
+    MAX_SLOTS,
     SHAPE_POLICIES,
     VARIABLE_POOL,
     EnumerationBoundError,
@@ -24,7 +26,7 @@ from illation.atlas import (
 from illation.bivalent import classify, matrix_table
 from illation.core import CONNECTIVES, TruthValue, connective
 
-from helpers import BOOL_OPS
+from helpers import BOOL_OPS, reference_enumeration
 
 T, F = TruthValue.T, TruthValue.F
 
@@ -238,6 +240,32 @@ class TestEnumeratorCounts:
         assert result.per_slot[1].generated == 16 * 9
         assert result.per_slot[1].tautologies == 3 * 4 + 6 * 1
 
+    @pytest.mark.parametrize("policy", SHAPE_POLICIES)
+    @pytest.mark.parametrize("variables", [1, 2, 3])
+    def test_counts_and_tautologies_match_a_tree_by_tree_reference(
+        self, variables, policy
+    ):
+        result = run(max_variables=variables, max_connective_slots=2,
+                     shape_policy=policy)
+        expected = reference_enumeration(variables, 2, policy)
+        assert [(s.generated, s.tautologies) for s in result.per_slot] == [
+            (generated, len(tautologies)) for generated, tautologies in expected
+        ]
+        for summary, (_, tautologies) in zip(result.per_slot, expected):
+            assert {e.formula for e in result.emitted
+                    if e.slots == summary.slots} == tautologies
+
+    def test_all_trees_count_at_the_slot_bound(self):
+        """k slots: Catalan(k) shapes, 16^k connective and 3^(k+1) leaf
+        choices."""
+        k = MAX_SLOTS
+        result = run(max_variables=3, max_connective_slots=k,
+                     shape_policy="all-trees", emit_limit=0)
+        catalan = comb(2 * k, k) // (k + 1)
+        assert result.per_slot[k].generated == catalan * 16**k * 3**(k + 1)
+        assert result.per_slot[k].generated == 32_105_299_968
+        assert result.emitted == ()
+
     def test_shape_policies_diverge_at_two_slots(self):
         combs = run(max_variables=1, max_connective_slots=3,
                     shape_policy="right-combs", emit_limit=0)
@@ -275,12 +303,17 @@ class TestEnumeratorOutput:
             assert classify(emission.formula).kind == "tautology"
             assert len(emission.connectives) == emission.slots
 
-    def test_emit_limit_caps_output_not_counting(self):
-        full = run(max_variables=2, max_connective_slots=2)
-        capped = run(max_variables=2, max_connective_slots=2, emit_limit=5)
-        assert len(capped.emitted) == 5
-        assert capped.emitted == full.emitted[:5]
-        assert capped.per_slot == full.per_slot
+    @pytest.mark.parametrize("policy", SHAPE_POLICIES)
+    def test_emit_limit_caps_output_not_counting(self, policy):
+        full = run(max_variables=3, max_connective_slots=2, shape_policy=policy)
+        assert full.per_slot[1].tautologies == 18
+        total = len(full.emitted)
+        # 18 and 19 stop on either side of the slot-1/slot-2 boundary.
+        for limit in (0, 1, 17, 18, 19, total + 1):
+            capped = run(max_variables=3, max_connective_slots=2,
+                         shape_policy=policy, emit_limit=limit)
+            assert capped.emitted == full.emitted[:limit]
+            assert capped.per_slot == full.per_slot
 
     def test_count_only(self):
         counted = run(max_variables=2, max_connective_slots=2, emit_limit=0)

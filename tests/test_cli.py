@@ -530,6 +530,13 @@ class TestErrorsAndPlumbing:
         code, _, _ = run_cli("frobnicate")
         assert code == 2
 
+    def test_formula_that_starts_with_a_dash_names_the_separator(self):
+        code, out, err = run_cli("parse", "--notation", "peirce", "-a")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: -a" in err
+        assert "a formula that starts with '-' goes after '--'" in err
+        assert run_cli("parse", "--notation", "peirce", "--", "-a")[0] == 0
+
     def test_missing_file(self, tmp_path):
         path = str(tmp_path / "absent.txt")
         code, out, err = run_cli("check", "--file", path)
