@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def leaf(group, path: str, handler, help: str) -> argparse.ArgumentParser:
         p = group.add_parser(path.rpartition(" ")[2], parents=[common], help=help)
-        p.set_defaults(handler=handler, path=path)
+        # Errors found after parsing name the leaf's own usage and options.
+        p.set_defaults(handler=handler, path=path, parser=p)
         return p
 
     def formula_arg(p: argparse.ArgumentParser) -> None:
@@ -611,9 +612,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if any(arg.startswith("-") for arg in unknown):
             message += ("; a formula that starts with '-' goes after '--', "
                         "as in: illation parse -- -a")
-        parser.error(message)
+        args.parser.error(message)
     try:
-        output = args.handler(args, parser)
+        output = args.handler(args, args.parser)
         if args.format_ == "json":
             document = json.dumps(
                 {"schema": 1, "command": args.path, **output.payload()},

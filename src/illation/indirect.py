@@ -18,7 +18,7 @@ Rules applied to a constrained column:
   alone" (Q stays unconstrained), symmetrically for Q, and any other pair
   contributes the two-sided case; duplicate cases are dropped.  The one-sided
   cases are what leave dashes behind.  This rule is tabulated once per
-  connective and value; a node maps its operand positions to columns.
+  connective and value, and turned into columns once per node and value.
 
 A branch closes when some column would be bound to both values.  The source
 tables show only forced rows; case splitting is an addition here, since
@@ -26,47 +26,88 @@ without it the method cannot decide every formula.  Branches are explored
 depth-first in the order generated, closed branches stay in the trace, and
 the first open branch supplies the countermodel (exploration stops there).
 Unconstrained variables may be completed arbitrarily: evaluation still
-yields f.
+yields f.  The search binds on one trail: a case binds its columns, and
+backtracking unbinds them back to the mark taken at the split.  A binding
+is coded as 2 * column + bit, with bit 0 for t and 1 for f.
 """
 
-from __future__ import annotations
-
-from collections import deque
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .core import (
-    CONNECTIVES,
-    Binary,
-    Connective,
-    Constant,
-    Formula,
-    INPUT_PAIRS,
-    Negation,
-    TruthValue,
-    Variable,
-    subformulas,
-    variables_of,
-)
+from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
+                   Negation, TruthValue, Variable)
 from .notation import SyntaxConfig, display_width, pad_display, render, value_symbols
 
-NOTE_ROOT = "root-assumption"
-NOTE_FORCED = "forced"
-NOTE_BRANCH_OPEN = "branch-open"
-NOTE_BRANCH_CLOSED = "branch-closed"
+_NOTES = NOTE_ROOT, NOTE_FORCED, NOTE_BRANCH_OPEN, NOTE_BRANCH_CLOSED = (
+    "root-assumption", "forced", "branch-open", "branch-closed")
+_ROOT, _FORCED, _OPEN, _CLOSED = range(4)
+_VALUES = (TruthValue.T, TruthValue.F)  # indexed by a binding's bit
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    """Snapshot of every column after one rule application (None = dash)."""
+    """Snapshot of every column after one rule application (None = dash),
+    rebuilt from the trace's bindings whenever a step is read."""
 
     values: tuple[TruthValue | None, ...]
     note: str
 
 
 @dataclass(frozen=True)
+class TraceSteps(Sequence):
+    """The steps of a trace as per-step bindings: step s has its note, the
+    trail depth it starts from (its base) and the codes it bound, up to any
+    conflict: codes[ends[s-1]:ends[s]].  Reading steps replays these deltas
+    from the first step into `TraceStep` snapshots; `len` never replays."""
+
+    width: int
+    notes: bytearray
+    bases: array
+    ends: array
+    codes: array
+
+    def __len__(self) -> int:
+        return len(self.notes)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):  # builds every snapshot, then slices
+            return tuple(self)[key]
+        index = range(len(self))[key]
+        return next(step for s, step in enumerate(self) if s == index)
+
+    def __iter__(self) -> Iterator[TraceStep]:
+        row: list[TruthValue | None] = [None] * self.width
+        for note in self._replay(row, _VALUES * self.width):
+            yield TraceStep(tuple(row), note)
+
+    def __reversed__(self) -> Iterator[TraceStep]:
+        return reversed(tuple(self))
+
+    def _replay(self, row: list, cells: Sequence) -> Iterator[str]:
+        """Replay the steps into `row`, yielding each step's note once its row
+        is current: code c shows cells[c], an unbound column its first cell."""
+        dashes = row[:]
+        trail: list[int] = []
+        start = 0
+        for note, base, end in zip(self.notes, self.bases, self.ends):
+            for code in trail[base:]:
+                row[code >> 1] = dashes[code >> 1]
+            del trail[base:]
+            added = self.codes[start:end]
+            for code in added:
+                row[code >> 1] = cells[code]
+            trail += added
+            start = end
+            yield _NOTES[note]
+
+
+@dataclass(frozen=True)
 class IndirectTrace:
+    """Columns (distinct subformulas, post-order) and steps of one refutation."""
+
     columns: tuple[Formula, ...]
-    steps: tuple[TraceStep, ...]
+    steps: TraceSteps
 
 
 @dataclass(frozen=True)
@@ -77,133 +118,137 @@ class IndirectResult:
     trace: IndirectTrace
 
 
-_Bindings = tuple[tuple[int, TruthValue], ...]
-# (forced bindings, case split) for one node bound to one value; None closes.
-_Rule = tuple[_Bindings, tuple[_Bindings, ...]] | None
+# A node's rule at one value: (forced bindings, cases) of (position, bit) pairs.
+_Bindings = tuple[tuple[int, int], ...]
+_Rule = tuple[_Bindings, tuple[_Bindings, ...]] | None  # None closes
+_Table = tuple[_Rule, _Rule]  # indexed by the node's bit
+_PAIRS = tuple(tuple(map(_VALUES.index, pair)) for pair in INPUT_PAIRS)  # as bits
 
 
 def _connective_rule(conn: Connective, w: TruthValue) -> _Rule:
     """The binary rule for conn(P, Q) = w over operand positions 0 (P) and
     1 (Q): None when no input pair gives w, else the forced bindings and, when
     nothing is forced, the cases in canonical pair order."""
-    support = [pair for pair, out in zip(INPUT_PAIRS, conn.vector) if out is w]
+    support = [pair for pair, out in zip(_PAIRS, conn.vector) if out is w]
     if not support:
         return None
     agreed = [{pair[pos] for pair in support} for pos in (0, 1)]
-    forced = tuple((pos, *vals) for pos, vals in enumerate(agreed) if len(vals) == 1)
+    forced = tuple((pos, *bits) for pos, bits in enumerate(agreed) if len(bits) == 1)
     if forced:
         return forced, ()
     cases = dict.fromkeys(
-        ((0, p),) if (p, q.opposite()) in support
-        else ((1, q),) if (p.opposite(), q) in support
+        ((0, p),) if (p, 1 - q) in support
+        else ((1, q),) if (1 - p, q) in support
         else ((0, p), (1, q))
         for p, q in support
     )
     return (), tuple(cases)
 
 
-_Table = dict[TruthValue, _Rule]
-_CONNECTIVE_RULES: dict[tuple[TruthValue, ...], _Table] = {
-    conn.vector: {w: _connective_rule(conn, w) for w in TruthValue}
+_CONNECTIVE_RULES: dict[int, _Table] = {
+    conn.column: tuple(_connective_rule(conn, w) for w in _VALUES)
     for conn in CONNECTIVES
 }
-_NEGATION_RULES: _Table = {w: (((0, w.opposite()),), ()) for w in TruthValue}
-_CONSTANT_RULES = {v: {v: ((), ()), v.opposite(): None} for v in TruthValue}
-_VARIABLE_RULES: _Table = dict.fromkeys(TruthValue, ((), ()))
+_NEGATION_RULES: _Table = tuple((((0, 1 - bit),), ()) for bit in (0, 1))
+_CONSTANT_RULES: tuple[_Table, _Table] = ((((), ()), None), (None, ((), ())))
+_VARIABLE_RULES: _Table = (((), ()), ((), ()))
 
 
-def _node_rules(
-    node: Formula, index: dict[Formula, int]
-) -> tuple[_Table, tuple[int, ...]]:
-    """A column's rule table and the column of each operand position."""
-    match node:
-        case Negation(operand):
-            return _NEGATION_RULES, (index[operand],)
-        case Binary(conn, left, right):
-            return _CONNECTIVE_RULES[conn.vector], (index[left], index[right])
-        case Constant(value):
-            return _CONSTANT_RULES[value], ()
-    return _VARIABLE_RULES, ()
-
-
-def _to_columns(operands: tuple[int, ...], bindings: _Bindings) -> _Bindings:
-    return tuple((operands[pos], v) for pos, v in bindings)
-
-
-def _bind(values: list[TruthValue | None], bindings: _Bindings) -> list[int] | None:
-    """Bind each column to its value; the newly bound columns, or None when
-    one already holds the other value (the columns before it stay bound)."""
-    bound: list[int] = []
-    for j, v in bindings:
-        current = values[j]
-        if current is None:
-            values[j] = v
-            bound.append(j)
-        elif current is not v:
-            return None
-    return bound
+def _in_codes(rule: _Rule, operands: tuple[int, ...]) -> tuple:
+    """The rule over binding codes, its cases de-duplicated over columns (both
+    operands may be one column); () closes the branch."""
+    def coded(bindings: _Bindings) -> tuple[int, ...]:
+        return tuple(2 * operands[pos] + bit for pos, bit in bindings)
+    if rule is None:
+        return ()
+    return coded(rule[0]), tuple(dict.fromkeys(map(coded, rule[1])))
 
 
 def indirect_check(formula: Formula) -> IndirectResult:
-    columns = subformulas(formula)
-    index = {sub: i for i, sub in enumerate(columns)}
-    nodes = [_node_rules(node, index) for node in columns]
-    steps: list[TraceStep] = []
+    index: dict[Formula, int] = {}  # the columns, in order
+    nodes: list[tuple[_Table, tuple[int, ...]]] = []  # rule table, operand columns
 
-    def propagate(
-        values: list[TruthValue | None], queue: deque[int], pending: list[int]
-    ) -> bool:
-        """Apply forcing rules until quiet; False when the branch closed."""
-        while queue:
-            i = queue.popleft()
-            table, operands = nodes[i]
-            rule = table[values[i]]
-            bound = None if rule is None else _bind(
-                values, _to_columns(operands, rule[0])
-            )
-            if bound is None:
-                steps.append(TraceStep(tuple(values), NOTE_BRANCH_CLOSED))
+    def column(node: Formula) -> int:
+        """The node's column, numbering new subformulas in post-order."""
+        entry = _VARIABLE_RULES, ()
+        match node:
+            case Negation(operand):
+                entry = _NEGATION_RULES, (column(operand),)
+            case Binary(conn, left, right):
+                entry = _CONNECTIVE_RULES[conn.column], (column(left), column(right))
+            case Constant(value):
+                entry = _CONSTANT_RULES[_VALUES.index(value)], ()
+        j = index.setdefault(node, len(nodes))
+        if j == len(nodes):
+            nodes.append(entry)
+        return j
+
+    column(formula)
+    columns, width = tuple(index), len(index)
+    rules: list = [None] * (2 * width)  # each code's rule in codes, made on first use
+    values = [-1] * width  # each column's bit, -1 for a dash
+    trail: list[int] = []  # the codes bound on this branch, in binding order
+    pending: list[int] = []  # codes whose rule splits, in the order reached
+    notes, bases, ends, codes = bytearray(), array("i"), array("i"), array("i")
+
+    def record(note: int, base: int) -> None:
+        notes.append(note)
+        bases.append(base)
+        codes.extend(trail[base:])
+        ends.append(len(codes))
+
+    def bind(forced: tuple[int, ...]) -> bool:
+        # False when a column holds the other value (those before stay bound).
+        for code in forced:
+            held = values[code >> 1]
+            if held < 0:
+                values[code >> 1] = code & 1
+                trail.append(code)
+            elif held != code & 1:
                 return False
-            if bound:
-                steps.append(TraceStep(tuple(values), NOTE_FORCED))
-                queue.extend(bound)
-            if rule[1]:
-                pending.append(i)
         return True
 
-    def explore(
-        values: list[TruthValue | None], queue: deque[int], pending: list[int]
-    ) -> list[TruthValue | None] | None:
-        """Depth-first search; the values of the first open branch, if any."""
-        if not propagate(values, queue, pending):
-            return None
-        if not pending:
-            return values
-        i, rest = pending[0], pending[1:]
-        table, operands = nodes[i]
-        # De-duplicated over columns: both operands may be one column.
-        cases = dict.fromkeys(_to_columns(operands, c) for c in table[values[i]][1])
-        for case in cases:
-            branch = list(values)
-            bound = _bind(branch, case)
-            note = NOTE_BRANCH_CLOSED if bound is None else NOTE_BRANCH_OPEN
-            steps.append(TraceStep(tuple(branch), note))
-            if bound is not None:
-                found = explore(branch, deque(bound), list(rest))
-                if found is not None:
-                    return found
-        return None
+    def explore(head: int, mark: int) -> bool:
+        """Propagate from trail[mark], split on pending[head]; True if left open."""
+        while mark < len(trail):
+            code = trail[mark]
+            mark += 1
+            rule = rules[code]
+            if rule is None:
+                table, operands = nodes[code >> 1]
+                rule = rules[code] = _in_codes(table[code & 1], operands)
+            base = len(trail)
+            if not rule or not bind(rule[0]):
+                record(_CLOSED, base)
+                return False
+            if len(trail) > base:
+                record(_FORCED, base)
+            if rule[1]:
+                pending.append(code)
+        if head == len(pending):
+            return True
+        depth = len(pending)
+        for case in rules[pending[head]][1]:
+            opened = bind(case)
+            record(_OPEN if opened else _CLOSED, mark)
+            if opened and explore(head + 1, mark):
+                return True
+            for code in trail[mark:]:
+                values[code >> 1] = -1
+            del trail[mark:], pending[depth:]
+        return False
 
-    start: list[TruthValue | None] = [None] * len(columns)
-    start[-1] = TruthValue.F
-    steps.append(TraceStep(tuple(start), NOTE_ROOT))
-    final = explore(start, deque([len(columns) - 1]), [])
-    trace = IndirectTrace(tuple(columns), tuple(steps))
-    if final is None:
+    bind((2 * width - 1,))  # the whole formula is f
+    record(_ROOT, 0)
+    falsifiable = explore(0, 0)
+    trace = IndirectTrace(columns, TraceSteps(width, notes, bases, ends, codes))
+    if not falsifiable:
         return IndirectResult("tautology", None, (), trace)
-    found = {name: final[index[Variable(name)]] for name in variables_of(formula)}
-    countermodel = {name: v for name, v in found.items() if v is not None}
-    unconstrained = tuple(name for name, v in found.items() if v is None)
+    # Post-order meets the variables in first-occurrence order.
+    found = {node.name: values[j] for j, node in enumerate(columns)
+             if isinstance(node, Variable)}
+    countermodel = {name: _VALUES[bit] for name, bit in found.items() if bit >= 0}
+    unconstrained = tuple(name for name, bit in found.items() if bit < 0)
     return IndirectResult("falsifiable", countermodel, unconstrained, trace)
 
 
@@ -213,12 +258,13 @@ def render_trace(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) ->
     t_sym, f_sym = value_symbols(config.notation)
     headers = [render(column, config) for column in trace.columns]
     widths = [max(display_width(h), 1) for h in headers]
-    symbols = {None: "-", TruthValue.T: t_sym, TruthValue.F: f_sym}
-    cells = [{v: pad_display(s, w) for v, s in symbols.items()} for w in widths]
-    lines = [
-        "  ".join(pad_display(h, w) for h, w in zip(headers, widths)) + "  | note"
-    ]
-    for step in trace.steps:
-        row = "  ".join(column[v] for column, v in zip(cells, step.values))
-        lines.append(f"{row}  | {step.note}")
-    return "\n".join(lines)
+    # Cells carry their separator, so the steps' rows make one join.
+    padded = [[pad_display(s, w) + "  " for s in (t_sym, f_sym, "-")] for w in widths]
+    padded[0] = ["\n" + cell for cell in padded[0]]  # each line starts at column 0
+    cells = [cell for t, f, _ in padded for cell in (t, f)]
+    row = [dash for _, _, dash in padded] + [""]  # the last cell is the note's
+    parts = ["  ".join(pad_display(h, w) for h, w in zip(headers, widths)) + "  | note"]
+    for note in trace.steps._replay(row, cells):
+        row[-1] = "| " + note
+        parts += row
+    return "".join(parts)

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
-from illation.core import variables_of
+from illation.core import CONNECTIVES, variables_of
 from illation.notation import Notation, SyntaxConfig, render
 
 from helpers import random_formula, run_cli
+
+ALL_CONNECTIVES = tuple(c.name for c in CONNECTIVES)
 
 
 class TestParse:
@@ -248,6 +250,28 @@ class TestIndirect:
             "values": ["t", "f"],
             "note": "branch-closed",
         }
+
+    def test_json_traces_are_pinned(self):
+        """JSON stdout of `indirect` for 304 seeded formulas over all sixteen
+        connectives and the constants; the notation-encoding pairs take
+        turns, 38 formulas each.  The JSON steps carry every column's value
+        at every step, which the text trace shows only through its cells."""
+        rng = random.Random(1884)
+        pairs = [(n.value, e) for n in Notation for e in ("unicode", "ascii")]
+        digest = hashlib.sha256()
+        for i in range(304):
+            formula = random_formula(rng, max_depth=5, connective_names=ALL_CONNECTIVES)
+            notation, encoding = pairs[i % len(pairs)]
+            text = render(formula, SyntaxConfig(Notation(notation), encoding))
+            code, out, err = run_cli(
+                "indirect", "--notation", notation, "--encoding", encoding,
+                "--format", "json", "--", text,
+            )
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "b2cef8026bbb7f9f8971042c3ab23733d267888505ce0bd4552e34631e9aee60"
+        )
 
 
 class TestTriadic:
@@ -536,6 +560,18 @@ class TestErrorsAndPlumbing:
         assert "unrecognized arguments: -a" in err
         assert "a formula that starts with '-' goes after '--'" in err
         assert run_cli("parse", "--notation", "peirce", "--", "-a")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "a", "b"],
+        ["check"],
+        ["parse", "--notation", "peirce", "-a"],
+    ], ids=["extra-argument", "no-formula", "dash-formula"])
+    def test_argument_errors_show_the_subcommand_usage(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: illation {argv[0]} [-h]")
+        assert "[--notation {" in err
+        assert f"illation {argv[0]}: error: " in err
 
     def test_missing_file(self, tmp_path):
         path = str(tmp_path / "absent.txt")

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import tracemalloc
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -27,6 +29,7 @@ from illation.indirect import (
     NOTE_FORCED,
     NOTE_ROOT,
     IndirectResult,
+    TraceStep,
     indirect_check,
     render_trace,
 )
@@ -196,13 +199,18 @@ class TestSmallCases:
         )
 
 
+def corpus_527():
+    """300 seeded formulas over all sixteen connectives and the constants."""
+    rng = random.Random(527)
+    return [
+        random_formula(rng, max_depth=4, connective_names=ALL_CONNECTIVES)
+        for _ in range(300)
+    ]
+
+
 class TestAgainstDirectMethod:
     def test_random_corpus_agreement_and_soundness(self):
-        rng = random.Random(527)
-        for _ in range(300):
-            formula = random_formula(
-                rng, max_depth=4, connective_names=ALL_CONNECTIVES
-            )
+        for formula in corpus_527():
             result = indirect_check(formula)
             direct = classify(formula).kind == "tautology"
             assert (result.outcome == "tautology") == direct
@@ -239,6 +247,60 @@ class TestAgainstDirectMethod:
         second = indirect_check(formula)
         assert first == second
         assert render_trace(first.trace) == render_trace(second.trace)
+
+
+class TestTraceSteps:
+    FORMULA = "((a -< b) -< c) -< (b + -a)"
+
+    def test_sequence_contract(self):
+        steps = indirect_check(pa(self.FORMULA)).trace.steps
+        listed = list(steps)
+        assert len(steps) == len(listed) > 3
+        assert all(isinstance(step, TraceStep) for step in listed)
+        assert steps[0] == listed[0]
+        assert steps[-1] == listed[-1]
+        assert steps[2] == listed[2]
+        assert steps[-3] == listed[-3]
+        assert steps[1:-1:2] == tuple(listed[1:-1:2])
+        assert steps[::-1] == tuple(listed[::-1])
+        assert steps[5:2] == ()
+        assert list(reversed(steps)) == listed[::-1]
+        assert [step for step in steps] == listed
+        for out_of_range in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                steps[out_of_range]
+
+    def test_results_compare_equal(self):
+        first, second = (indirect_check(pa(self.FORMULA)) for _ in range(2))
+        assert first.trace.steps == second.trace.steps
+        assert first.trace.steps != indirect_check(pa("a -< a")).trace.steps
+
+    def test_snapshots_agree_with_the_rendered_lines(self):
+        """The snapshots and render_trace replay the bindings separately;
+        each step's values and note must match its rendered line."""
+        symbols = {None: "-", T: "t", F: "f"}
+        for formula in corpus_527():
+            trace = indirect_check(formula).trace
+            lines = render_trace(trace, MODERN_ASCII).split("\n")[1:]
+            assert len(lines) == len(trace.steps)
+            for step, line in zip(trace.steps, lines):
+                cells, note = line.rsplit("  | ", 1)
+                assert cells.split() == [symbols[v] for v in step.values]
+                assert note == step.note
+
+    def test_trace_memory_follows_the_bindings(self):
+        """n = 10 xor-equivalence: 34,815 steps over 29 columns.  Snapshots
+        of every step held about 12 MB; the bindings take well under 2 MB."""
+        xs = [Variable(f"x{i}") for i in range(10)]
+        formula = equiv(reduce(equiv, xs), reduce(equiv, xs[::-1]))
+        tracemalloc.start()
+        try:
+            result = indirect_check(formula)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(result.trace.steps), len(result.trace.columns)) == (34815, 29)
+        assert retained < 2_000_000
 
 
 class TestRenderTrace:
