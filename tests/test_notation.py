@@ -1,5 +1,7 @@
 """Parser, renderer and translator over the four notations."""
 
+import hashlib
+import random
 import unicodedata
 from itertools import product
 
@@ -36,7 +38,7 @@ from illation.notation import (
     value_symbols,
 )
 
-from helpers import PORTABLE_CONNECTIVES, SAFE_NAMES
+from helpers import PORTABLE_CONNECTIVES, SAFE_NAMES, random_formula
 
 T, F = TruthValue.T, TruthValue.F
 A, B, C = Variable("a"), Variable("b"), Variable("c")
@@ -424,6 +426,89 @@ class TestRoundTripProperties:
                 assert 0 <= exc.diagnostic.position <= len(
                     unicodedata.normalize("NFD", text)
                 )
+
+
+def _polish(node) -> str:
+    """Prefix spelling of a tree, independent of the package's renderer."""
+    if isinstance(node, Variable):
+        return "v:" + node.name
+    if isinstance(node, Constant):
+        return "c:" + node.value.value
+    if isinstance(node, Negation):
+        return "N " + _polish(node.operand)
+    return f"B{node.connective.column} {_polish(node.left)} {_polish(node.right)}"
+
+
+def _mix_brackets(rng: random.Random, text: str) -> str:
+    """Swap each round bracket pair for a random kind, pairs kept matched."""
+    out, closers = [], []
+    for ch in text:
+        if ch == "(":
+            opener, closer = rng.choice(("()", "[]", "{}"))
+            closers.append(closer)
+            out.append(opener)
+        elif ch == ")":
+            out.append(closers.pop())
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+# Each notation's own input symbols and constant words; the shared words are
+# brackets, names and spacing; the stray ones belong to no notation.
+_OWN_WORDS = {
+    Notation.PEIRCE: ("-<", "≺", "·", "*", "+", "-", "-", "̄", "ā", "v", "f"),
+    Notation.SCHROEDER: ("=<", "⋐", "⊆", "·", "*", "+", "'", "′", "1", "0"),
+    Notation.PEANO_RUSSELL: ("==", "≡", "⊃", ">", "·", ".", "∨", "|", "∼", "~",
+                             "⊤", "⊥", "T", "F"),
+    Notation.MODERN: ("<->", "↔", "->", "→", "∧", "&", "∨", "|", "¬", "!",
+                      "⊤", "⊥", "T", "F"),
+}
+_SHARED_WORDS = ("(", ")", "(", ")", "[", "]", "{", "}", "a", "b", "p1", "x_y", " ")
+_STRAY_WORDS = ("?", "=", "<", "#", "é")
+
+
+def _token_string(rng: random.Random, notation: Notation) -> str:
+    own = _OWN_WORDS[notation] + _SHARED_WORDS
+    words = []
+    for _ in range(rng.randint(0, 10)):
+        roll = rng.random()
+        if roll < 0.04:
+            words.append(rng.choice(_STRAY_WORDS))
+        elif roll < 0.1:
+            words.append(rng.choice(rng.choice(list(_OWN_WORDS.values()))))
+        else:
+            words.append(rng.choice(own))
+    return "".join(words)
+
+
+class TestParserPin:
+    def test_parse_is_pinned(self):
+        """Trees and diagnostics of `parse` over a seeded corpus: random
+        formulas over all sixteen connectives and the constants, rendered
+        in all eight notation-encoding pairs, plainly and with mixed bracket
+        kinds, and 20,000 random token strings under random pairs."""
+        rng = random.Random(1893)
+        texts = []
+        all_connectives = tuple(c.name for c in CONNECTIVES)
+        for _ in range(200):
+            formula = random_formula(rng, max_depth=4, connective_names=all_connectives)
+            for config in ALL_CONFIGS:
+                shown = render(formula, config)
+                texts += [(shown, config), (_mix_brackets(rng, shown), config)]
+        for _ in range(20_000):
+            config = rng.choice(ALL_CONFIGS)
+            texts.append((_token_string(rng, config.notation), config))
+        digest = hashlib.sha256()
+        for text, config in texts:
+            try:
+                result = _polish(parse(text, config))
+            except ParseError as exc:
+                result = str(exc)
+            digest.update(f"{config.notation}/{config.encoding}\0{text}\0{result}\n".encode())
+        assert digest.hexdigest() == (
+            "6fd99edbfb23cb2238acbc45e3cb2805cca682802dfb36995566197fa1141a6d"
+        )
 
 
 class TestValueSymbolsAndWidth:
