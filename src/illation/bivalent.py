@@ -21,6 +21,7 @@ from .core import (
     Negation,
     TruthValue,
     Variable,
+    fold,
     variables_of,
 )
 
@@ -80,21 +81,21 @@ def apply_mask(conn: Connective, left: int, right: int, full: int) -> int:
 
 def truth_vector(formula: Formula, masks: Mapping[str, int], full: int) -> int:
     """The formula's value on every row at once: bit k is set where row k
-    makes it true.  `masks` and `full` come from `variable_masks`."""
-    match formula:
-        case Constant(value):
-            return full if value is _T else 0
-        case Variable(name):
-            try:
-                return masks[name]
-            except KeyError:
-                raise MissingVariableError(name) from None
-        case Negation(operand):
-            return full ^ truth_vector(operand, masks, full)
-        case Binary(connective, left, right):
-            a, b = truth_vector(left, masks, full), truth_vector(right, masks, full)
-            return apply_mask(connective, a, b, full)
-    raise TypeError(f"not a formula: {formula!r}")
+    makes it true.  `masks` and `full` come from `variable_masks`.  A
+    repeated subformula is evaluated once."""
+    def value(node: Formula, *operands: int) -> int:
+        if isinstance(node, Binary):
+            return apply_mask(node.connective, *operands, full)
+        if isinstance(node, Negation):
+            return full ^ operands[0]
+        if isinstance(node, Variable):
+            if node.name not in masks:
+                raise MissingVariableError(node.name)
+            return masks[node.name]
+        if isinstance(node, Constant):
+            return full if node.value is _T else 0
+        raise TypeError(f"not a formula: {node!r}")
+    return fold(formula, value)
 
 
 def _check_kind(name: str, value: object, kind: type) -> None:

@@ -2,8 +2,14 @@
 
 Exit codes: 0 success; 1 only for `check --status` on a non-tautology;
 2 parse or usage errors; 3 operations the requested semantics does not
-define (e.g. a triadic implication); 4 exceeded size bounds, including a
-formula nested too deeply to process.
+define (e.g. a triadic implication); 4 exceeded size bounds: the variable
+limits, the enumerator's bounds, and the output bounds below.
+
+Formulas of any nesting depth are accepted.  What a command would print is
+bounded instead: its formula renderings and trace are measured before any
+text is built, and past OUTPUT_LIMIT characters the command exits 4 naming
+the predicted size; `parse --format json` also exits 4 when its `ast` would
+nest deeper than JSON_DEPTH_LIMIT.
 
 Output is deterministic: the same argv and input produce identical bytes.
 `--format json` emits one schema-stable JSON document per invocation,
@@ -26,10 +32,11 @@ from .bivalent import (MissingVariableError, VariableLimitError, classify,
                        entails, format_matrix, format_truth_table,
                        matrix_table, truth_table)
 from .core import (Binary, Connective, Constant, Formula, Negation,
-                   TriadicValue, TruthValue, Variable, connective, variables_of)
-from .indirect import indirect_check, render_trace
+                   TriadicValue, TruthValue, Variable, connective, fold,
+                   variables_of)
+from .indirect import indirect_check, render_trace, trace_size
 from .notation import (Notation, ParseError, SyntaxConfig, display_width,
-                       pad_display, parse, render, translate, value_symbols)
+                       pad_display, parse, render, rendered_sizes, value_symbols)
 from .syllogistic import CategoricalForm, GLOSSES, barbara, render_categorical
 from .trivalent import (TABLES, UnsupportedConnectiveError, evaluate3,
                         format_tables, restriction_check, truth_table3)
@@ -40,7 +47,26 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_LIMIT = 4
 
+#: Most characters a command may print.  Renderings grow exponentially in
+#: depth where a notation expands a connective it has no symbol for, and an
+#: indirect trace grows with columns times steps, so the size is predicted
+#: first and a larger output exits 4 before any of its text is built.
+OUTPUT_LIMIT = 64 * 2**20
+#: Deepest formula `parse --format json` writes as its `ast`: the standard
+#: library's JSON writer and reader both recurse once per level.
+JSON_DEPTH_LIMIT = 500
+
 _NOTATION_NAMES = [n.value for n in Notation]
+
+
+class OutputLimitError(Exception):
+    """An output over one of the bounds above, refused before it is built."""
+
+
+def _check_size(size: int) -> None:
+    if size > OUTPUT_LIMIT:
+        raise OutputLimitError(
+            f"the output would take {size} characters, over the limit of {OUTPUT_LIMIT}")
 
 
 class Output(NamedTuple):
@@ -199,20 +225,32 @@ def _read_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         ) from None
 
 
-def _formula_json(node: Formula) -> dict:
-    if isinstance(node, Variable):
-        return {"type": "variable", "name": node.name}
-    if isinstance(node, Constant):
-        return {"type": "constant", "value": node.value.value}
-    if isinstance(node, Negation):
-        return {"type": "negation", "operand": _formula_json(node.operand)}
-    assert isinstance(node, Binary)
-    return {
-        "type": "binary",
-        "connective": node.connective.name,
-        "left": _formula_json(node.left),
-        "right": _formula_json(node.right),
-    }
+def _render_bounded(formula: Formula, config: SyntaxConfig) -> str:
+    """render, after checking the rendering's predicted size."""
+    _check_size(rendered_sizes(formula, config)[formula])
+    return render(formula, config)
+
+
+def _formula_json(formula: Formula) -> dict:
+    """The formula as nested dicts, refused when they would nest deeper than
+    JSON_DEPTH_LIMIT."""
+    def tree(node: Formula, *operands: tuple[dict, int]) -> tuple[dict, int]:
+        depth = 1 + max((below for _, below in operands), default=0)
+        if isinstance(node, Variable):
+            return {"type": "variable", "name": node.name}, depth
+        if isinstance(node, Constant):
+            return {"type": "constant", "value": node.value.value}, depth
+        if isinstance(node, Negation):
+            return {"type": "negation", "operand": operands[0][0]}, depth
+        return {"type": "binary", "connective": node.connective.name,
+                "left": operands[0][0], "right": operands[1][0]}, depth
+
+    json_tree, depth = fold(formula, tree)
+    if depth > JSON_DEPTH_LIMIT:
+        raise OutputLimitError(
+            f"the JSON ast would nest {depth} levels deep, over the limit of "
+            f"{JSON_DEPTH_LIMIT}")
+    return json_tree
 
 
 def _assignment_json(assignment: dict | None) -> dict | None:
@@ -265,7 +303,7 @@ def _parse_values(text: str) -> tuple[TruthValue, ...]:
 def _cmd_parse(args, parser) -> Output:
     config = _config(args)
     formula = parse(_read_formula(args, parser), config)
-    rendering = render(formula, config)
+    rendering = _render_bounded(formula, config)
     return Output(lambda: {
         "notation": config.notation.value,
         "encoding": config.encoding,
@@ -279,7 +317,7 @@ def _cmd_translate(args, parser) -> Output:
     source = SyntaxConfig(Notation(args.source), "unicode")
     target = SyntaxConfig(Notation(args.target), _config(args).encoding)
     text = _read_formula(args, parser)
-    output = translate(text, source, target)
+    output = _render_bounded(parse(text, source), target)
     return Output(lambda: {
         "from": source.notation.value,
         "to": target.notation.value,
@@ -293,7 +331,7 @@ def _cmd_table(args, parser) -> Output:
     config = _config(args)
     formula = parse(_read_formula(args, parser), config)
     table = truth_table(formula, row_order=args.row_order)
-    rendering = render(formula, config)
+    rendering = _render_bounded(formula, config)
     return Output(lambda: {
         "rendering": rendering,
         "variables": list(table.variables),
@@ -332,7 +370,7 @@ def _cmd_check(args, parser) -> Output:
 
     failed = args.status and verdict.kind != "tautology"
     return Output(lambda: {
-        "rendering": render(formula, config),
+        "rendering": _render_bounded(formula, config),
         "verdict": verdict.kind,
         "falsifying": _assignment_json(verdict.falsifying),
         "satisfying": _assignment_json(verdict.satisfying),
@@ -363,16 +401,17 @@ def _cmd_indirect(args, parser) -> Output:
     config = _config(args)
     formula = parse(_read_formula(args, parser), config)
     result = indirect_check(formula)
-
-    def text() -> str:
-        lines = ["outcome: " + result.outcome]
-        if result.countermodel is not None:
-            symbols = value_symbols(config.notation)
-            lines.append("countermodel: " + (
-                _format_assignment(result.countermodel, symbols) or "(empty)"))
-            if result.unconstrained:
-                lines.append("unconstrained: " + ", ".join(result.unconstrained))
-        return "\n".join([*lines, "", render_trace(result.trace, config)])
+    lines = ["outcome: " + result.outcome]
+    if result.countermodel is not None:
+        symbols = value_symbols(config.notation)
+        lines.append("countermodel: " + (
+            _format_assignment(result.countermodel, symbols) or "(empty)"))
+        if result.unconstrained:
+            lines.append("unconstrained: " + ", ".join(result.unconstrained))
+    head = "\n".join([*lines, "", ""])
+    # The text holds every column's rendering and a cell per column and step;
+    # the JSON form holds the same, so one prediction bounds both.
+    _check_size(len(head) + trace_size(result.trace, config))
 
     return Output(lambda: {
         "rendering": render(formula, config),
@@ -388,7 +427,7 @@ def _cmd_indirect(args, parser) -> Output:
             }
             for step in result.trace.steps
         ],
-    }, text)
+    }, lambda: head + render_trace(result.trace, config))
 
 
 _TRIADIC_WORDS = {"v": TriadicValue.V, "l": TriadicValue.L, "f": TriadicValue.F}
@@ -446,7 +485,7 @@ def _cmd_triadic_table(args, parser) -> Output:
     config = _config(args)
     formula = parse(_read_formula(args, parser), config)
     table = truth_table3(formula)
-    rendering = render(formula, config)
+    rendering = _render_bounded(formula, config)
     return Output(lambda: {
         "rendering": rendering,
         "variables": list(table.variables),
@@ -512,6 +551,23 @@ def _cmd_connectives_xframe(args, parser) -> Output:
     }, lambda: render_xframe(frame))
 
 
+def _longest_renderings(max_slots: int, config: SyntaxConfig) -> list[int]:
+    """For each slot count, a bound on the rendered length of any formula
+    with that many connectives over one-letter variables: the longest
+    rendering of a connective over two variables that stand for operands of
+    the bounds below, with room for their brackets."""
+    bounds = [1]
+    for slots in range(1, max_slots + 1):
+        longest = 0
+        for i in range(slots):
+            left, right = (Variable("p" * (bounds[j] + 2)) for j in (i, slots - 1 - i))
+            for c in CONNECTIVES:
+                formula = Binary(c, left, right)
+                longest = max(longest, rendered_sizes(formula, config)[formula])
+        bounds.append(longest)
+    return bounds
+
+
 def _cmd_connectives_enumerate(args, parser) -> Output:
     spec = EnumerationSpec(
         max_variables=args.max_variables,
@@ -519,20 +575,26 @@ def _cmd_connectives_enumerate(args, parser) -> Output:
         shape_policy=args.shape,
         emit_limit=args.emit_limit,
     )
-    # --count-only emits nothing, but --limit is still validated above.
-    result = enumerate_tautologies(
-        dataclasses.replace(spec, emit_limit=0) if args.count_only else spec)
+    # Count first: --count-only emits nothing, but --limit is still
+    # validated above, and the counts bound the lines to be emitted.
+    result = enumerate_tautologies(dataclasses.replace(spec, emit_limit=0))
     config = _config(args)
-
-    def text() -> str:
-        lines = [render(e.formula, config) for e in result.emitted]
-        lines += [f"slots={s.slots}: generated={s.generated} "
-                  f"tautologies={s.tautologies} distinct={s.distinct}"
-                  for s in result.per_slot]
-        lines.append(f"total: generated={result.total_generated} "
-                     f"tautologies={result.total_tautologies} "
-                     f"distinct={result.total_distinct}")
-        return "\n".join(lines)
+    summary = [f"slots={s.slots}: generated={s.generated} "
+               f"tautologies={s.tautologies} distinct={s.distinct}"
+               for s in result.per_slot]
+    summary.append(f"total: generated={result.total_generated} "
+                   f"tautologies={result.total_tautologies} "
+                   f"distinct={result.total_distinct}")
+    if not args.count_only and spec.emit_limit != 0:
+        # Emission runs in slot order, so the counts say how many of each.
+        left, size = spec.emit_limit, len("\n".join(summary))
+        for s, longest in zip(result.per_slot,
+                              _longest_renderings(spec.max_connective_slots, config)):
+            emitted = min(left, s.tautologies)
+            size += emitted * (longest + 1)
+            left -= emitted
+        _check_size(size)
+        result = enumerate_tautologies(spec)
 
     return Output(lambda: {
         "max_variables": spec.max_variables,
@@ -554,7 +616,8 @@ def _cmd_connectives_enumerate(args, parser) -> Output:
         "total_generated": result.total_generated,
         "total_tautologies": result.total_tautologies,
         "total_distinct": result.total_distinct,
-    }, text)
+    }, lambda: "\n".join([*(render(e.formula, config) for e in result.emitted),
+                          *summary]))
 
 
 def _cmd_syllogism_render(args, parser) -> Output:
@@ -628,11 +691,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnsupportedConnectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (VariableLimitError, EnumerationBoundError) as exc:
+    except (VariableLimitError, EnumerationBoundError, OutputLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_LIMIT
     except (MissingVariableError, KeyError, ValueError) as exc:
         # str(KeyError) wraps its argument in quotes; unwrap for readability.

@@ -20,7 +20,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Container, Iterator
+from dataclasses import dataclass, field
+from typing import TypeVar
+
+
+T = TypeVar("T")
 
 
 class TruthValue(enum.Enum):
@@ -186,19 +191,53 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 class Formula:
-    """Base class for formula tree nodes."""
+    """Base class for formula tree nodes.
+
+    A node's hash is computed once, at construction, from its operands'
+    hashes, and `==` compares two trees with an explicit stack, so neither
+    recurses however deep the tree."""
 
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        return self._hash
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for name in a.__match_args__:  # the dataclass fields
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Formula):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+
+def _set_hash(node: Formula, key: tuple) -> None:
+    object.__setattr__(node, "_hash", hash(key))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Constant(Formula):
     value: TruthValue
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _set_hash(self, (Constant, self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Variable(Formula):
     name: str
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
@@ -206,18 +245,27 @@ class Variable(Formula):
                 f"variable names are letters, digits and underscores starting "
                 f"with a letter; got {self.name!r}"
             )
+        _set_hash(self, (Variable, self.name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Negation(Formula):
     operand: Formula
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _set_hash(self, (Negation, self.operand._hash))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Binary(Formula):
     connective: Connective
     left: Formula
     right: Formula
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _set_hash(self, (self.connective.column, self.left._hash, self.right._hash))
 
 
 def implies(left: Formula, right: Formula) -> Binary:
@@ -236,35 +284,64 @@ def equiv(left: Formula, right: Formula) -> Binary:
     return Binary(EQUIVALENCE, left, right)
 
 
+_EXIT = object()  # marks where the walk leaves the node below it
+
+
+def _walk(formula: Formula, done: Container[Formula]) -> Iterator[Formula]:
+    """The post-order walk, with an explicit stack: each node after its
+    operands, left first, passing over nodes in `done` and all under them.
+    The caller adds each node it is given to `done` before asking for the
+    next, so a repeated subformula is given once, at its first visit."""
+    stack: list = [formula]  # nodes, each operator above _EXIT and itself
+    while stack:
+        node = stack.pop()
+        if node is _EXIT:  # its operands are done; nothing under it equals it
+            yield stack.pop()
+        elif node in done:
+            continue
+        elif isinstance(node, Binary):
+            stack += (node, _EXIT, node.right, node.left)
+        elif isinstance(node, Negation):
+            stack += (node, _EXIT, node.operand)
+        else:
+            yield node
+
+
+def postorder(formula: Formula) -> Iterator[Formula]:
+    """Each distinct subformula once, after its operands, left operand
+    first; the whole formula comes last.  A repeated subformula is yielded
+    at its first visit and not walked again.  This walk, with `fold` on
+    it, is how the package visits subformulas, so no function recurses
+    once per nesting level."""
+    seen: set[Formula] = set()
+    for node in _walk(formula, seen):
+        seen.add(node)
+        yield node
+
+
+def fold(formula: Formula, combine: Callable[..., T],
+         values: dict[Formula, T] | None = None) -> T:
+    """The formula's value, where `combine(node, *operand_values)` gives each
+    distinct subformula's value from its operands' values, in post-order.
+    Subformulas already in `values` keep their value there, and every new
+    value is added to it."""
+    values = {} if values is None else values
+    for node in _walk(formula, values):
+        if isinstance(node, Binary):
+            values[node] = combine(node, values[node.left], values[node.right])
+        elif isinstance(node, Negation):
+            values[node] = combine(node, values[node.operand])
+        else:
+            values[node] = combine(node)
+    return values[formula]
+
+
 def variables_of(formula: Formula) -> list[str]:
     """Variable names in first-occurrence (left-to-right) order, no duplicates."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Variable):
-            seen.setdefault(node.name, None)
-        elif isinstance(node, Negation):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-
-    walk(formula)
-    return list(seen)
+    return [node.name for node in postorder(formula) if isinstance(node, Variable)]
 
 
 def subformulas(formula: Formula) -> list[Formula]:
     """Distinct subformulas in post-order: children before parents, the whole
     formula last.  Repeated subformulas appear once, at their first visit."""
-    seen: dict[Formula, None] = {}
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Negation):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-        seen.setdefault(node, None)
-
-    walk(formula)
-    return list(seen)
+    return list(postorder(formula))

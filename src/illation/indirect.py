@@ -36,8 +36,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
-                   Negation, TruthValue, Variable)
-from .notation import SyntaxConfig, display_width, pad_display, render, value_symbols
+                   Negation, TruthValue, Variable, fold)
+from .notation import (SyntaxConfig, display_width, pad_display, render, rendered_sizes,
+                       value_symbols)
 
 _NOTES = NOTE_ROOT, NOTE_FORCED, NOTE_BRANCH_OPEN, NOTE_BRANCH_CLOSED = (
     "root-assumption", "forced", "branch-open", "branch-closed")
@@ -165,26 +166,23 @@ def _in_codes(rule: _Rule, operands: tuple[int, ...]) -> tuple:
 
 
 def indirect_check(formula: Formula) -> IndirectResult:
-    index: dict[Formula, int] = {}  # the columns, in order
+    columns: list[Formula] = []  # distinct subformulas, in post-order
     nodes: list[tuple[_Table, tuple[int, ...]]] = []  # rule table, operand columns
 
-    def column(node: Formula) -> int:
-        """The node's column, numbering new subformulas in post-order."""
-        entry = _VARIABLE_RULES, ()
-        match node:
-            case Negation(operand):
-                entry = _NEGATION_RULES, (column(operand),)
-            case Binary(conn, left, right):
-                entry = _CONNECTIVE_RULES[conn.column], (column(left), column(right))
-            case Constant(value):
-                entry = _CONSTANT_RULES[_VALUES.index(value)], ()
-        j = index.setdefault(node, len(nodes))
-        if j == len(nodes):
-            nodes.append(entry)
-        return j
+    def number(node: Formula, *operands: int) -> int:
+        table = _VARIABLE_RULES
+        if isinstance(node, Binary):
+            table = _CONNECTIVE_RULES[node.connective.column]
+        elif isinstance(node, Negation):
+            table = _NEGATION_RULES
+        elif isinstance(node, Constant):
+            table = _CONSTANT_RULES[_VALUES.index(node.value)]
+        columns.append(node)
+        nodes.append((table, operands))
+        return len(nodes) - 1
 
-    column(formula)
-    columns, width = tuple(index), len(index)
+    fold(formula, number)
+    width = len(columns)
     rules: list = [None] * (2 * width)  # each code's rule in codes, made on first use
     values = [-1] * width  # each column's bit, -1 for a dash
     trail: list[int] = []  # the codes bound on this branch, in binding order
@@ -208,8 +206,15 @@ def indirect_check(formula: Formula) -> IndirectResult:
                 return False
         return True
 
-    def explore(head: int, mark: int) -> bool:
-        """Propagate from trail[mark], split on pending[head]; True if left open."""
+    bind((2 * width - 1,))  # the whole formula is f
+    record(_ROOT, 0)
+    # The splits still open, outermost first: the k-th splits on pending[k],
+    # binding its cases from trail[mark], with pending[:depth] reached.
+    splits: list[tuple[int, int, Iterator]] = []  # mark, depth, cases left
+    mark = 0
+    falsifiable = False
+    while True:
+        # Propagate from trail[mark]; a conflict closes the branch.
         while mark < len(trail):
             code = trail[mark]
             mark += 1
@@ -220,28 +225,35 @@ def indirect_check(formula: Formula) -> IndirectResult:
             base = len(trail)
             if not rule or not bind(rule[0]):
                 record(_CLOSED, base)
-                return False
+                break
             if len(trail) > base:
                 record(_FORCED, base)
             if rule[1]:
                 pending.append(code)
-        if head == len(pending):
-            return True
-        depth = len(pending)
-        for case in rules[pending[head]][1]:
-            opened = bind(case)
-            record(_OPEN if opened else _CLOSED, mark)
-            if opened and explore(head + 1, mark):
-                return True
-            for code in trail[mark:]:
-                values[code >> 1] = -1
-            del trail[mark:], pending[depth:]
-        return False
-
-    bind((2 * width - 1,))  # the whole formula is f
-    record(_ROOT, 0)
-    falsifiable = explore(0, 0)
-    trace = IndirectTrace(columns, TraceSteps(width, notes, bases, ends, codes))
+        else:  # the branch is open: split on the next pending code, if any
+            if len(splits) == len(pending):
+                falsifiable = True
+                break
+            splits.append((mark, len(pending), iter(rules[pending[len(splits)]][1])))
+        # Undo the last case; open the next case of the innermost split that
+        # has one left.
+        while splits:
+            mark, depth, cases = splits[-1]
+            if len(trail) > mark:  # undo the case tried last
+                for code in trail[mark:]:
+                    values[code >> 1] = -1
+                del trail[mark:], pending[depth:]
+            case = next(cases, None)
+            if case is None:
+                splits.pop()
+            elif bind(case):
+                record(_OPEN, mark)
+                break
+            else:
+                record(_CLOSED, mark)
+        else:
+            break
+    trace = IndirectTrace(tuple(columns), TraceSteps(width, notes, bases, ends, codes))
     if not falsifiable:
         return IndirectResult("tautology", None, (), trace)
     # Post-order meets the variables in first-occurrence order.
@@ -268,3 +280,19 @@ def render_trace(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) ->
         row[-1] = "| " + note
         parts += row
     return "".join(parts)
+
+
+def trace_size(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> int:
+    """len(render_trace(trace, config)), found without building the text,
+    from each column's rendered length and width and the steps' notes."""
+    root = trace.columns[-1]
+    lengths = rendered_sizes(root, config)
+    widths = rendered_sizes(root, config, display_width)
+    # The header pads each rendering to its width (at least 1) and ends in
+    # "  | note"; a step's line is a line break, a cell of width + 2 per
+    # column, "| " and the note.
+    cells = sum(max(widths[c], 1) + 2 for c in trace.columns)
+    header = cells + sum(lengths[c] - widths[c] for c in trace.columns) + len("| note")
+    notes = trace.steps.notes
+    return header + len(notes) * (1 + cells + len("| ")) + sum(
+        len(note) * notes.count(code) for code, note in enumerate(_NOTES))

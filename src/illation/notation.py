@@ -47,9 +47,10 @@ idempotent from the first rendering onward.
 from __future__ import annotations
 
 import enum
+import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .core import (
     Binary,
@@ -62,8 +63,11 @@ from .core import (
     conj,
     disj,
     equiv,
+    fold,
     implies,
 )
+
+T = TypeVar("T")
 
 MACRON = "̄"  # combining overbar used by peirce unicode negation
 PRIME = "′"
@@ -109,6 +113,10 @@ class ParseError(Exception):
     def __init__(self, diagnostic: ParseDiagnostic):
         super().__init__(str(diagnostic))
         self.diagnostic = diagnostic
+
+
+def _error(position: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    return ParseError(ParseDiagnostic(position, message, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -164,84 +172,56 @@ for _n, _syms in _INPUT_SYMBOLS.items():
         if not _kind.startswith("const"):
             _FOREIGN.setdefault(_lit, set()).add(_n)
 
-_OPEN = {"(", "[", "{"}
-_CLOSE = {")", "]", "}"}
 _MATCHING_CLOSE = {"(": ")", "[": "]", "{": "}"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-    value: TruthValue | None = None
+# A token is (kind, text, position, value); value is a constant's only.
+_Token = tuple[str, str, int, TruthValue | None]
+_SCANNERS: dict[Notation, re.Pattern] = {}
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isascii() and ch.isalpha()
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch == "_")
+def _scanner(notation: Notation) -> re.Pattern:
+    """Spacing, then one token of the notation, in a group named after its
+    kind: lparen, rparen, name, symbol (longest first) or, for any other
+    character but a space, other.  A name is ASCII letters, digits and
+    underscores starting with a letter."""
+    if notation not in _SCANNERS:
+        symbols = sorted((lit for lit, _ in _INPUT_SYMBOLS[notation]),
+                         key=len, reverse=True)
+        _SCANNERS[notation] = re.compile(
+            r"\s*(?:(?P<lparen>[([{])|(?P<rparen>[)\]}])|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+            r"|(?P<symbol>" + "|".join(map(re.escape, symbols)) + r")|(?P<other>\S))")
+    return _SCANNERS[notation]
 
 
 def _tokenize(text: str, notation: Notation) -> list[_Token]:
-    symbols = sorted(_INPUT_SYMBOLS[notation], key=lambda s: -len(s[0]))
+    kinds = dict(_INPUT_SYMBOLS[notation])
     reserved = RESERVED_WORDS[notation]
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPEN:
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch in _CLOSE:
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        matched = False
-        for literal, kind in symbols:
-            if text.startswith(literal, i):
-                if kind.startswith("const:"):
-                    value = TruthValue.T if kind.endswith("t") else TruthValue.F
-                    tokens.append(_Token("const", literal, i, value))
-                else:
-                    tokens.append(_Token(kind, literal, i))
-                i += len(literal)
-                matched = True
-                break
-        if matched:
-            continue
-        if _is_name_start(ch):
-            j = i + 1
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            word = text[i:j]
-            if word in reserved:
-                tokens.append(_Token("const", word, i, reserved[word]))
+    for found in _scanner(notation).finditer(text):
+        group = found.lastgroup
+        word, i = found[group], found.start(group)
+        if group == "symbol":
+            kind = kinds[word]
+            if kind.startswith("const:"):
+                value = TruthValue.T if kind.endswith("t") else TruthValue.F
+                tokens.append(("const", word, i, value))
             else:
-                tokens.append(_Token("var", word, i))
-            i = j
-            continue
-        owners = sorted(
-            other.value
-            for glyph, users in _FOREIGN.items()
-            if glyph == ch
-            for other in users
-            if other is not notation
-        )
-        if owners:
-            raise ParseError(ParseDiagnostic(
-                i,
-                f"{ch!r} is a symbol of the {', '.join(owners)} notation, "
-                f"not of {notation.value}",
-            ))
-        raise ParseError(ParseDiagnostic(i, f"unexpected character {ch!r}"))
+                tokens.append((kind, word, i, None))
+        elif group == "name":
+            if word in reserved:
+                tokens.append(("const", word, i, reserved[word]))
+            else:
+                tokens.append(("var", word, i, None))
+        elif group == "other":
+            owners = sorted(other.value for other in _FOREIGN.get(word, ())
+                            if other is not notation)
+            if owners:
+                raise _error(i, f"{word!r} is a symbol of the {', '.join(owners)} "
+                                f"notation, not of {notation.value}")
+            raise _error(i, f"unexpected character {word!r}")
+        else:
+            tokens.append((group, word, i, None))
     return tokens
 
 
@@ -251,107 +231,91 @@ def _tokenize(text: str, notation: Notation) -> list[_Token]:
 _HAS_EQUIV = {Notation.PEANO_RUSSELL, Notation.MODERN}
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], notation: Notation, length: int):
-        self.tokens = tokens
-        self.notation = notation
-        self.length = length
-        self.i = 0
+# Binary operator kinds: precedence (higher binds tighter), whether a chain
+# of them nests to the left, and the node they build.  Prefix negation binds
+# tighter than all of them.
+_BINARY_OPERATORS: dict[str, tuple[int, bool, Callable[[Formula, Formula], Formula]]] = {
+    "and": (4, True, conj),
+    "or": (3, True, disj),
+    "impl": (2, False, implies),
+    "equiv": (1, False, equiv),
+}
+_PREFIX_PRECEDENCE = 5
+_OPERAND_EXPECTED = ("variable", "constant", "'('")
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _reduce(operands: list[Formula], kind: str) -> None:
+    """Apply a prefix negation or a binary operator to the top operands."""
+    if kind == "not":
+        operands[-1] = Negation(operands[-1])
+    else:
+        right = operands.pop()
+        operands[-1] = _BINARY_OPERATORS[kind][2](operands[-1], right)
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()) -> "ParseError":
-        tok = self.peek()
-        pos = tok.pos if tok is not None else self.length
-        return ParseError(ParseDiagnostic(pos, message, expected))
 
-    def parse(self) -> Formula:
-        node = self.equiv_level()
-        tok = self.peek()
-        if tok is not None:
-            raise self.fail(
-                f"unexpected {tok.text!r} after a complete formula",
-                ("end of input", "binary operator"),
-            )
-        return node
-
-    def equiv_level(self) -> Formula:
-        left = self.impl_level()
-        tok = self.peek()
-        if tok is not None and tok.kind == "equiv":
-            self.take()
-            return equiv(left, self.equiv_level())
-        return left
-
-    def impl_level(self) -> Formula:
-        left = self.disj_level()
-        tok = self.peek()
-        if tok is not None and tok.kind == "impl":
-            self.take()
-            return implies(left, self.impl_level())
-        return left
-
-    def disj_level(self) -> Formula:
-        node = self.conj_level()
-        while (tok := self.peek()) is not None and tok.kind == "or":
-            self.take()
-            node = disj(node, self.conj_level())
-        return node
-
-    def conj_level(self) -> Formula:
-        node = self.unary_level()
-        while (tok := self.peek()) is not None and tok.kind == "and":
-            self.take()
-            node = conj(node, self.unary_level())
-        return node
-
-    def unary_level(self) -> Formula:
-        tok = self.peek()
-        if tok is not None and tok.kind == "not":
-            self.take()
-            return Negation(self.unary_level())
-        return self.postfix_level()
-
-    def postfix_level(self) -> Formula:
-        node = self.primary()
-        while (tok := self.peek()) is not None and tok.kind == "postnot":
-            self.take()
-            node = Negation(node)
-        return node
-
-    def primary(self) -> Formula:
-        tok = self.peek()
-        expected = ("variable", "constant", "'('")
-        if tok is None:
-            raise self.fail("formula ends where an operand was expected", expected)
-        if tok.kind == "var":
-            self.take()
-            return Variable(tok.text)
-        if tok.kind == "const":
-            self.take()
-            return Constant(tok.value)
-        if tok.kind == "lparen":
-            opener = self.take()
-            node = self.equiv_level()
-            want = _MATCHING_CLOSE[opener.text]
-            closing = self.peek()
-            if closing is None or closing.kind != "rparen":
-                raise self.fail("unbalanced bracket", (f"'{want}'",))
-            if closing.text != want:
-                raise self.fail(
-                    f"mismatched bracket: {opener.text!r} opened at position "
-                    f"{opener.pos} is closed by {closing.text!r}",
+def _parse_tokens(tokens: list[_Token], length: int) -> Formula:
+    """Operator-precedence parse over an operand stack and an operator stack
+    of (kind, text, position): prefix negations, binary operators and open
+    brackets.  Postfix marks apply at once to the operand just read, so they
+    bind tighter than a pending prefix negation."""
+    operands: list[Formula] = []
+    operators: list[tuple[str, str, int]] = []
+    names: dict[str, Variable] = {}  # one node per variable name
+    expect_operand = True
+    for kind, text, pos, value in tokens:
+        if expect_operand:
+            if kind == "not" or kind == "lparen":
+                operators.append((kind, text, pos))
+                continue
+            if kind == "var":
+                if text not in names:
+                    names[text] = Variable(text)
+                operands.append(names[text])
+            elif kind == "const":
+                operands.append(Constant(value))
+            else:
+                raise _error(pos, f"unexpected {text!r}", _OPERAND_EXPECTED)
+            expect_operand = False
+        elif kind == "postnot":
+            operands[-1] = Negation(operands[-1])
+        elif kind in _BINARY_OPERATORS:
+            precedence, nests_left, _ = _BINARY_OPERATORS[kind]
+            while operators and operators[-1][0] != "lparen":
+                top = operators[-1][0]
+                above = (_PREFIX_PRECEDENCE if top == "not"
+                         else _BINARY_OPERATORS[top][0])
+                if above < precedence or (above == precedence and not nests_left):
+                    break
+                _reduce(operands, operators.pop()[0])
+            operators.append((kind, text, pos))
+            expect_operand = True
+        else:
+            while operators and operators[-1][0] != "lparen":
+                _reduce(operands, operators.pop()[0])
+            if not operators:
+                raise _error(pos, f"unexpected {text!r} after a complete formula",
+                             ("end of input", "binary operator"))
+            _, opener, opened_at = operators[-1]
+            want = _MATCHING_CLOSE[opener]
+            if kind != "rparen":
+                raise _error(pos, "unbalanced bracket", (f"'{want}'",))
+            if text != want:
+                raise _error(
+                    pos,
+                    f"mismatched bracket: {opener!r} opened at position "
+                    f"{opened_at} is closed by {text!r}",
                     (f"'{want}'",),
                 )
-            self.take()
-            return node
-        raise self.fail(f"unexpected {tok.text!r}", expected)
+            operators.pop()
+    if expect_operand:
+        raise _error(length, "formula ends where an operand was expected",
+                     _OPERAND_EXPECTED)
+    while operators:
+        kind, text, _ = operators.pop()
+        if kind == "lparen":
+            raise _error(length, "unbalanced bracket", (f"'{_MATCHING_CLOSE[text]}'",))
+        _reduce(operands, kind)
+    return operands[0]
 
 
 def parse(text: str, config: SyntaxConfig = SyntaxConfig()) -> Formula:
@@ -364,8 +328,8 @@ def parse(text: str, config: SyntaxConfig = SyntaxConfig()) -> Formula:
     normalized = unicodedata.normalize("NFD", text)
     tokens = _tokenize(normalized, config.notation)
     if not tokens:
-        raise ParseError(ParseDiagnostic(0, "empty input", ("formula",)))
-    return _Parser(tokens, config.notation, len(normalized)).parse()
+        raise _error(0, "empty input", ("formula",))
+    return _parse_tokens(tokens, len(normalized))
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +369,44 @@ PRIMITIVE_CONNECTIVES: dict[Notation, frozenset[str]] = {
 }
 
 
-def expand_for(formula: Formula, notation: Notation) -> Formula:
-    """Rewrite connectives the notation cannot print into their expansions."""
+#: Connectives whose expansion is a negation, so it is never bracketed.
+_NEGATED_EXPANSIONS = frozenset(
+    name for name, expand in EXPANSIONS.items()
+    if isinstance(expand(Variable("p"), Variable("q")), Negation)
+)
+
+
+def _fold_expanded(formula: Formula, notation: Notation, combine: Callable[..., T],
+                   values: dict[Formula, T]) -> T:
+    """`fold` over the formula as expanded for `notation`: a connective the
+    notation lacks takes the value of its expansion, whose new nodes are
+    folded into `values` too."""
     primitives = PRIMITIVE_CONNECTIVES[notation]
-    if isinstance(formula, Negation):
-        return Negation(expand_for(formula.operand, notation))
-    if isinstance(formula, Binary):
-        left = expand_for(formula.left, notation)
-        right = expand_for(formula.right, notation)
-        if formula.connective.name in primitives:
-            return Binary(formula.connective, left, right)
-        return EXPANSIONS[formula.connective.name](left, right)
-    return formula
+
+    def value(node: Formula, *operands: T) -> T:
+        if isinstance(node, Binary) and node.connective.name not in primitives:
+            return fold(EXPANSIONS[node.connective.name](node.left, node.right),
+                        combine, values)
+        return combine(node, *operands)
+
+    return fold(formula, value, values)
+
+
+def _lowered(node: Formula, *operands: Formula) -> Formula:
+    """The node over its expanded operands, itself when none was expanded."""
+    if isinstance(node, Binary):
+        left, right = operands
+        if left is not node.left or right is not node.right:
+            return Binary(node.connective, left, right)
+    elif isinstance(node, Negation) and operands[0] is not node.operand:
+        return Negation(operands[0])
+    return node
+
+
+def expand_for(formula: Formula, notation: Notation) -> Formula:
+    """Rewrite connectives the notation cannot print into their expansions;
+    a subformula with nothing to expand is kept as it is."""
+    return _fold_expanded(formula, notation, _lowered, {})
 
 
 # ---------------------------------------------------------------------------
@@ -464,41 +454,96 @@ _BINARY_SYMBOL_FIELD = {
 }
 
 
-def _wrap(node: Formula, text: str) -> str:
-    return f"({text})" if isinstance(node, Binary) else text
+def _bracketed(node: Formula) -> bool:
+    """Whether the node renders as a binary, and so is bracketed as an operand."""
+    return type(node) is Binary and node.connective.name not in _NEGATED_EXPANSIONS
 
 
-def _render_node(node: Formula, syms: _RenderSymbols) -> str:
-    if isinstance(node, Variable):
-        return node.name
-    if isinstance(node, Constant):
-        return syms.const_t if node.value is TruthValue.T else syms.const_f
+def _pieces(node: Formula, syms: _RenderSymbols, *operands: T) -> tuple:
+    """A node's rendering as its literal strings and its operands' values
+    (their texts, sizes or the operands themselves), in order.  `node` is
+    a leaf, a negation or a binary the notation has a symbol for."""
+    if isinstance(node, Binary):
+        middle = f" {getattr(syms, _BINARY_SYMBOL_FIELD[node.connective.name])} "
+        left, right = operands
+        if _bracketed(node.left):  # every compound operand is bracketed
+            if _bracketed(node.right):
+                return "(", left, ")" + middle + "(", right, ")"
+            return "(", left, ")" + middle, right
+        if _bracketed(node.right):
+            return left, middle + "(", right, ")"
+        return left, middle, right
     if isinstance(node, Negation):
-        operand = node.operand
-        rendered = _render_node(operand, syms)
+        operand, (value,) = node.operand, operands
         if syms.macron and (
             isinstance(operand, Constant)
             or (isinstance(operand, Variable) and len(operand.name) == 1)
         ):
-            return rendered + MACRON
+            return value, MACRON
         if syms.neg_postfix is not None:
-            return _wrap(operand, rendered) + syms.neg_postfix
-        return syms.neg_prefix + _wrap(operand, rendered)
-    assert isinstance(node, Binary)
-    op = getattr(syms, _BINARY_SYMBOL_FIELD[node.connective.name])
-    left = _wrap(node.left, _render_node(node.left, syms))
-    right = _wrap(node.right, _render_node(node.right, syms))
-    return f"{left} {op} {right}"
+            if _bracketed(operand):
+                return "(", value, ")" + syms.neg_postfix
+            return value, syms.neg_postfix
+        if _bracketed(operand):
+            return syms.neg_prefix + "(", value, ")"
+        return syms.neg_prefix, value
+    if isinstance(node, Variable):
+        return (node.name,)
+    return (syms.const_t if node.value is TruthValue.T else syms.const_f,)
 
 
 def render(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> str:
     """Render a formula in the configured notation and encoding.
 
     The output reparses under the same config to the same tree, after the
-    one-time expansion of connectives the notation has no symbol for.
+    one-time expansion of connectives the notation has no symbol for.  One
+    walk with an explicit stack writes the text left to right, expanding a
+    connective the notation lacks where it meets it.
     """
-    lowered = expand_for(formula, config.notation)
-    return _render_node(lowered, _RENDER[(config.notation, config.encoding)])
+    syms = _RENDER[(config.notation, config.encoding)]
+    primitives = PRIMITIVE_CONNECTIVES[config.notation]
+    out: list[str] = []
+    stack: list = [formula]
+    # Each expansion made, by the id of its node of `formula` (alive throughout).
+    expansions: dict[int, Formula] = {}
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif type(item) is Variable:
+            out.append(item.name)
+        elif isinstance(item, Binary) and item.connective.name not in primitives:
+            if id(item) not in expansions:
+                expand = EXPANSIONS[item.connective.name]
+                expansions[id(item)] = expand(item.left, item.right)
+            stack.append(expansions[id(item)])
+        elif isinstance(item, Binary):
+            stack += reversed(_pieces(item, syms, item.left, item.right))
+        elif isinstance(item, Negation):
+            stack += reversed(_pieces(item, syms, item.operand))
+        else:
+            out += _pieces(item, syms)
+    return "".join(out)
+
+
+def rendered_sizes(
+    formula: Formula,
+    config: SyntaxConfig = SyntaxConfig(),
+    measure: Callable[[str], int] = len,
+) -> dict[Formula, int]:
+    """The rendered size of every distinct subformula (and of the expansions
+    made for them), without building any text: `measure` (`len` for
+    characters, `display_width` for terminal cells) of each literal piece,
+    summed."""
+    syms = _RENDER[(config.notation, config.encoding)]
+
+    def size(node: Formula, *operands: int) -> int:
+        return sum(p if type(p) is int else measure(p)
+                   for p in _pieces(node, syms, *operands))
+
+    sizes: dict[Formula, int] = {}
+    _fold_expanded(formula, config.notation, size, sizes)
+    return sizes
 
 
 def translate(text: str, source: SyntaxConfig, target: SyntaxConfig) -> str:

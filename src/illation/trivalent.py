@@ -34,6 +34,7 @@ from .core import (
     TruthValue,
     Variable,
     connective,
+    fold,
     variables_of,
 )
 
@@ -99,6 +100,12 @@ DEFAULT_VARIABLE_LIMIT3 = 12
 
 _CONSTANT3 = {TruthValue.T: _V, TruthValue.F: _F}
 
+# The circled plus and the barred Z over (V, F) mask pairs.
+_MASK_RULES = {
+    "disjunction": lambda a, b: (a[0] | b[0], a[1] & b[1]),
+    "conjunction": lambda a, b: (a[0] & b[0], a[1] | b[1]),
+}
+
 
 def variable_masks3(names: Sequence[str]) -> tuple[dict[str, tuple[int, int]], int]:
     """One (V, F) mask pair per variable, set on the rows where it is V and
@@ -127,27 +134,31 @@ def truth_vector3(
 ) -> tuple[int, int]:
     """The formula's value on every row at once as a (V, F) mask pair; rows
     in neither mask are L.  Two-valued constants map t -> V, f -> F.  `masks`
-    and `full` come from `variable_masks3`."""
-    match formula:
-        case Constant(value):
-            return (full, 0) if value is TruthValue.T else (0, full)
-        case Variable(name):
-            try:
-                return masks[name]
-            except KeyError:
-                raise MissingVariableError(name) from None
-        case Negation(operand):
-            v, f = truth_vector3(operand, masks, full)
-            return f, v
-        case Binary(conn, left, right):
-            if conn.name not in ("disjunction", "conjunction"):
-                raise UnsupportedConnectiveError(conn.name)
-            lv, lf = truth_vector3(left, masks, full)
-            rv, rf = truth_vector3(right, masks, full)
-            if conn.name == "disjunction":
-                return lv | rv, lf & rf
-            return lv & rv, lf | rf
-    raise TypeError(f"not a formula: {formula!r}")
+    and `full` come from `variable_masks3`.  Of several faults, the one met
+    first reading the formula from the left is raised, a connective without
+    a matrix before anything under it."""
+    def value(node: Formula, *operands: tuple[int, int] | Exception):
+        # A fault is carried up as a value until an outer one replaces it.
+        if isinstance(node, Binary) and node.connective.name not in _MASK_RULES:
+            return UnsupportedConnectiveError(node.connective.name)
+        faults = [v for v in operands if isinstance(v, Exception)]
+        if faults:
+            return faults[0]
+        if isinstance(node, Binary):
+            return _MASK_RULES[node.connective.name](*operands)
+        if isinstance(node, Negation):
+            return operands[0][::-1]
+        if isinstance(node, Variable):
+            if node.name not in masks:
+                return MissingVariableError(node.name)
+            return masks[node.name]
+        if isinstance(node, Constant):
+            return (full, 0) if node.value is TruthValue.T else (0, full)
+        raise TypeError(f"not a formula: {node!r}")
+    result = fold(formula, value)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def evaluate3(formula: Formula, assignment: Mapping[str, TriadicValue]) -> TriadicValue:

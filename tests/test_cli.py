@@ -1,13 +1,20 @@
 """End-to-end command-line behavior: output fixtures, exit codes, JSON."""
 
 import hashlib
+import io
 import json
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from illation.core import CONNECTIVES, variables_of
-from illation.notation import Notation, SyntaxConfig, render
+from illation import cli
+from illation.core import CONNECTIVES, Binary, Variable, variables_of
+from illation.indirect import indirect_check, render_trace, trace_size
+from illation.notation import Notation, SyntaxConfig, parse, render, rendered_sizes
 
 from helpers import random_formula, run_cli
 
@@ -535,6 +542,123 @@ class TestSyllogism:
         assert "((p -< q) * (q -< r)) -< (p -< r)" in out
 
 
+def _predicted(err: str) -> int:
+    """The size an exit-4 output-limit error names."""
+    found = re.fullmatch(r"error: the output would take (\d+) characters, "
+                         r"over the limit of (\d+)\n", err)
+    assert found is not None, err
+    return int(found[1])
+
+
+class TestOutputBound:
+    PAIRS = [(n.value, e) for n in Notation for e in ("unicode", "ascii")]
+
+    def test_prediction_is_the_output_length(self, monkeypatch):
+        """With the limit one below a command's text, the command exits 4
+        naming exactly the text's length; at the text's length it prints."""
+        rng = random.Random(1902)
+        for i in range(24):
+            formula = random_formula(rng, max_depth=4, connective_names=ALL_CONNECTIVES)
+            notation, encoding = self.PAIRS[i % len(self.PAIRS)]
+            text = render(formula, SyntaxConfig(Notation(notation), encoding))
+            target = self.PAIRS[(i + 3) % len(self.PAIRS)][0]
+            for argv in (["parse", "--notation", notation],
+                         ["translate", "--from", notation, "--to", target],
+                         ["indirect", "--notation", notation]):
+                argv += ["--encoding", encoding, "--", text]
+                monkeypatch.setattr(cli, "OUTPUT_LIMIT", 64 * 2**20)
+                code, out, err = run_cli(*argv)
+                assert (code, err) == (0, "")
+                size = len(out) - 1  # print adds the last line break
+                monkeypatch.setattr(cli, "OUTPUT_LIMIT", size)
+                assert run_cli(*argv) == (0, out, "")
+                monkeypatch.setattr(cli, "OUTPUT_LIMIT", size - 1)
+                code, out, err = run_cli(*argv)
+                assert (code, out, _predicted(err)) == (4, "", size)
+
+    def test_library_sizes_match_the_texts(self):
+        rng = random.Random(1903)
+        configs = [SyntaxConfig(Notation(n), e) for n, e in self.PAIRS]
+        for _ in range(40):
+            formula = random_formula(rng, max_depth=5, connective_names=ALL_CONNECTIVES)
+            trace = indirect_check(formula).trace
+            for config in configs:
+                sizes = rendered_sizes(formula, config)
+                assert set(trace.columns) <= set(sizes)
+                assert all(size == len(render(node, config))
+                           for node, size in sizes.items())
+                assert trace_size(trace, config) == len(render_trace(trace, config))
+
+    @pytest.fixture
+    def nothing_rendered(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("text built past the limit")
+        for name in ("render", "render_trace"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def test_exponential_translation_exits_before_rendering(self, nothing_rendered):
+        chain = " <-> ".join(f"x{i}" for i in range(24))
+        code, out, err = run_cli("translate", "--from", "modern", "--to", "peirce", chain)
+        peirce = SyntaxConfig(Notation.PEIRCE, "unicode")
+        expected = rendered_sizes(parse(chain), peirce)[parse(chain)]
+        assert (code, out, _predicted(err)) == (4, "", expected)
+        assert expected > cli.OUTPUT_LIMIT
+
+    def test_cubic_trace_exits_before_rendering(self, nothing_rendered):
+        text = "!" * 2000 + "a"
+        code, out, err = run_cli("indirect", "--encoding", "ascii", text)
+        trace = indirect_check(parse(text)).trace
+        head = "outcome: falsifiable\ncountermodel: a=f\n\n"
+        assert (code, out) == (4, "")
+        assert _predicted(err) == len(head) + trace_size(
+            trace, SyntaxConfig(Notation.MODERN, "ascii"))
+
+    def test_large_enumeration_exits_before_rendering(self, nothing_rendered):
+        code, out, err = run_cli(
+            "connectives", "enumerate", "--vars", "3", "--slots", "5",
+            "--shape", "all-trees", "--limit", "1000000000")
+        assert (code, out) == (4, "")
+        assert _predicted(err) > 10**9
+
+    def test_enumeration_bound_covers_the_output(self, monkeypatch):
+        """The enumerator's prediction is an upper bound; a limit at the
+        actual length still prints."""
+        for notation in ("peirce", "modern"):
+            argv = ("connectives", "enumerate", "--notation", notation, "--vars", "2",
+                    "--slots", "2", "--limit", "300")
+            monkeypatch.setattr(cli, "OUTPUT_LIMIT", 64 * 2**20)
+            code, out, _ = run_cli(*argv)
+            assert code == 0
+            monkeypatch.setattr(cli, "OUTPUT_LIMIT", len(out) - 2)
+            code, _, err = run_cli(*argv)
+            assert code == 4 and _predicted(err) >= len(out) - 1
+
+    def test_enumeration_lines_stay_under_their_bound(self):
+        """Every formula with one or two connectives renders within the
+        bound the enumerator's prediction uses for its slot count."""
+        p = Variable("p")
+        by_slots = {1: [Binary(c, p, p) for c in CONNECTIVES]}
+        by_slots[2] = [Binary(c, a, p) for c in CONNECTIVES for a in by_slots[1]]
+        by_slots[2] += [Binary(c, p, a) for c in CONNECTIVES for a in by_slots[1]]
+        for notation, encoding in self.PAIRS:
+            config = SyntaxConfig(Notation(notation), encoding)
+            bounds = cli._longest_renderings(2, config)
+            for slots, formulas in by_slots.items():
+                longest = max(len(render(f, config)) for f in formulas)
+                assert longest <= bounds[slots]
+
+    def test_json_ast_depth_is_bounded(self):
+        deepest = "!" * (cli.JSON_DEPTH_LIMIT - 1) + "a"
+        code, out, _ = run_cli("parse", "--format", "json", "--encoding", "ascii", deepest)
+        assert code == 0
+        assert json.loads(out)["rendering"] == deepest
+        code, out, err = run_cli("parse", "--format", "json", "!" + deepest)
+        assert (code, out) == (4, "")
+        assert err == (f"error: the JSON ast would nest {cli.JSON_DEPTH_LIMIT + 1} "
+                       f"levels deep, over the limit of {cli.JSON_DEPTH_LIMIT}\n")
+        assert run_cli("parse", "!" + deepest)[0] == 0
+
+
 class TestErrorsAndPlumbing:
     def test_parse_error_names_the_position(self):
         code, _, err = run_cli("parse", "a ->")
@@ -596,13 +720,14 @@ class TestErrorsAndPlumbing:
         assert (code, out) == (2, "")
         assert err == "error: cannot read <stdin>: not valid UTF-8 at byte 2\n"
 
-    def test_deep_brackets_exit_on_the_size_bound(self):
+    def test_deep_brackets_parse(self):
         code, out, err = run_cli("parse", "(" * 600 + "a" + ")" * 600)
-        assert (code, out, err) == (4, "", "error: formula nested too deeply\n")
+        assert (code, out, err) == (0, "a\n", "")
 
-    def test_deep_negation_is_not_a_failed_check(self):
+    def test_deep_negation_is_a_failed_check(self):
         code, out, err = run_cli("check", "--status", "!" * 1000 + "a")
-        assert (code, out, err) == (4, "", "error: formula nested too deeply\n")
+        assert (code, out, err) == (
+            1, "contingent\nfalsifying: a=f\nsatisfying: a=t\n", "")
 
     def test_version(self):
         code, out, _ = run_cli("--version")
@@ -646,3 +771,58 @@ class TestErrorsAndPlumbing:
     def test_deterministic_output(self):
         argv = ("indirect", "--notation", "peirce", "(((a -< b) -< c) -< d) -< e")
         assert run_cli(*argv) == run_cli(*argv)
+
+
+# Argument vectors for the fuzz test: a command, options, then a formula.
+_COMMANDS = st.sampled_from([
+    ["parse"], ["table"], ["check"], ["check", "--status"], ["indirect"],
+    ["translate", "--from", "peirce", "--to", "schroeder"],
+    ["translate", "--from", "modern", "--to", "peirce"],
+    ["entails", "-p", "a"], ["triadic", "table"], ["triadic", "eval", "--assign", "a=L"],
+])
+_OPTIONS = st.lists(st.sampled_from([
+    "--notation=peirce", "--notation=schroeder", "--notation=peano-russell",
+    "--notation=modern", "--encoding=ascii", "--encoding=unicode", "--format=json",
+    "--format=text", "--row-order=f-first", "--bogus",
+]), max_size=3)
+_SYMBOLS = st.sampled_from([
+    "a", "b", "x1", "T", "f", "1", " ", "(", ")", "[", "]", "{", "}", "!", "-",
+    "->", "-<", "=<", "<->", "==", "&", "*", ".", "|", "+", "~", "'", "¬", "→",
+    "≺", "̄", "⊤", "?",
+])
+_DEEP = st.builds(
+    lambda kind, n: {"not": "!" * n + "a", "brackets": "(" * n + "a" + ")" * n,
+                     "chain": " -> ".join(["a"] * n), "xor": "a" + " <-> a" * n}[kind],
+    st.sampled_from(["not", "brackets", "chain", "xor"]), st.integers(1, 2500))
+_FORMULAS = st.one_of(st.lists(_SYMBOLS, max_size=12).map("".join), _DEEP,
+                      st.text(max_size=8))
+_ENUMERATE = st.builds(
+    lambda v, k, shape, limit: ["connectives", "enumerate", f"--vars={v}", f"--slots={k}",
+                                f"--shape={shape}", f"--limit={limit}"],
+    st.integers(0, 4), st.integers(0, 6), st.sampled_from(["right-combs", "all-trees"]),
+    st.sampled_from([-1, 0, 3]))
+
+
+class TestFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.one_of(_COMMANDS, _ENUMERATE), options=_OPTIONS,
+           formula=_FORMULAS, separator=st.booleans(), stdin=st.booleans(),
+           data=st.binary(max_size=20))
+    def test_exit_codes_stay_in_the_contract(self, command, options, formula,
+                                             separator, stdin, data):
+        """Any argv (and stdin) ends in an exit code the README allows, with
+        no traceback, and the same stdout when run again."""
+        argv = [*command, *options]
+        if command[0] != "connectives":
+            argv += ["--"] if separator else []
+            argv += ["-"] if stdin else [formula]
+        runs = []
+        for _ in range(2):
+            with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(
+                    formula.encode() if stdin and not data else data))):
+                runs.append(run_cli(*argv))
+        (code, out, err), again = runs
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err
+        assert again == runs[0]

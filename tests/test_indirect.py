@@ -1,5 +1,6 @@
 """Abbreviated (indirect) truth-table refutation."""
 
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -301,6 +302,21 @@ class TestTraceSteps:
             tracemalloc.stop()
         assert (len(result.trace.steps), len(result.trace.columns)) == (34815, 29)
         assert retained < 2_000_000
+
+    def test_a_call_leaves_nothing_for_the_collector(self):
+        """The search keeps no self-referencing closures, so all of its
+        working state is freed as soon as the call returns."""
+        xs = [Variable(f"x{i}") for i in range(10)]
+        formula = equiv(reduce(equiv, xs), reduce(equiv, xs[::-1]))
+        gc.collect()
+        gc.disable()
+        try:
+            result = indirect_check(formula)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert result.outcome == "tautology"
+        assert unreachable == 0
 
 
 class TestRenderTrace:
