@@ -202,6 +202,11 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through __init__, so the hash is
+        # computed afresh: string hashes differ from process to process.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented

@@ -1,9 +1,14 @@
 """Formula AST and the sixteen-connective catalog."""
 
+import pickle
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import illation
 from illation.core import (
     Binary,
     CONJUNCTION,
@@ -149,3 +154,18 @@ class TestFormula:
         a = Variable("a")
         formula = conj(a, a)
         assert subformulas(formula) == [a, formula]
+
+
+    def test_a_pickled_formula_hashes_afresh_in_another_process(self):
+        """Hashes are computed at construction and string hashes differ
+        between processes, so unpickling must not carry the old hash over."""
+        text = "(a -> !b) & (T | a)"
+        dumped = subprocess.run(
+            [sys.executable, "-c", "import pickle, sys; from illation import parse; "
+             f"sys.stdout.buffer.write(pickle.dumps(parse({text!r})))"],
+            capture_output=True, check=True,
+            env={"PYTHONHASHSEED": "1", "PYTHONPATH": str(Path(illation.__file__).parents[1])},
+        ).stdout
+        loaded = pickle.loads(dumped)
+        assert loaded == illation.parse(text)
+        assert loaded in {illation.parse(text)}
