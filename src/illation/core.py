@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Callable, Container, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TypeVar
 
 
@@ -198,7 +198,6 @@ class Formula:
     recurses however deep the tree."""
 
     __slots__ = ()
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -230,19 +229,19 @@ def _set_hash(node: Formula, key: tuple) -> None:
     object.__setattr__(node, "_hash", hash(key))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class Constant(Formula):
+    __slots__ = ("value", "_hash")
     value: TruthValue
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _set_hash(self, (Constant, self.value))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class Variable(Formula):
+    __slots__ = ("name", "_hash")
     name: str
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
@@ -253,21 +252,21 @@ class Variable(Formula):
         _set_hash(self, (Variable, self.name))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class Negation(Formula):
+    __slots__ = ("operand", "_hash")
     operand: Formula
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _set_hash(self, (Negation, self.operand._hash))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class Binary(Formula):
+    __slots__ = ("connective", "left", "right", "_hash")
     connective: Connective
     left: Formula
     right: Formula
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _set_hash(self, (self.connective.column, self.left._hash, self.right._hash))
