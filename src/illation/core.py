@@ -198,6 +198,7 @@ class Formula:
     recurses however deep the tree."""
 
     __slots__ = ()
+
     def __hash__(self) -> int:
         return self._hash
 
