@@ -376,20 +376,23 @@ _NEGATED_EXPANSIONS = frozenset(
 )
 
 
-def _fold_expanded(formula: Formula, notation: Notation, combine: Callable[..., T],
-                   values: dict[Formula, T]) -> T:
-    """`fold` over the formula as expanded for `notation`: a connective the
-    notation lacks takes the value of its expansion, whose new nodes are
-    folded into `values` too."""
+def _fold_expanded(formula: Formula, notation: Notation,
+                   combine: Callable[..., T]) -> dict[Formula, T]:
+    """`fold` over the formula as expanded for `notation`: each distinct
+    subformula's value, in post-order, where a connective the notation
+    lacks takes the value of its expansion over the operands' values."""
     primitives = PRIMITIVE_CONNECTIVES[notation]
 
     def value(node: Formula, *operands: T) -> T:
         if isinstance(node, Binary) and node.connective.name not in primitives:
-            return fold(EXPANSIONS[node.connective.name](node.left, node.right),
-                        combine, values)
+            expansion = EXPANSIONS[node.connective.name](node.left, node.right)
+            known = {node.left: operands[0], node.right: operands[1]}
+            return fold(expansion, combine, known)
         return combine(node, *operands)
 
-    return fold(formula, value, values)
+    values: dict[Formula, T] = {}
+    fold(formula, value, values)
+    return values
 
 
 def _lowered(node: Formula, *operands: Formula) -> Formula:
@@ -406,7 +409,7 @@ def _lowered(node: Formula, *operands: Formula) -> Formula:
 def expand_for(formula: Formula, notation: Notation) -> Formula:
     """Rewrite connectives the notation cannot print into their expansions;
     a subformula with nothing to expand is kept as it is."""
-    return _fold_expanded(formula, notation, _lowered, {})
+    return _fold_expanded(formula, notation, _lowered)[formula]
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +534,16 @@ def rendered_sizes(
     config: SyntaxConfig = SyntaxConfig(),
     measure: Callable[[str], int] = len,
 ) -> dict[Formula, int]:
-    """The rendered size of every distinct subformula (and of the expansions
-    made for them), without building any text: `measure` (`len` for
-    characters, `display_width` for terminal cells) of each literal piece,
-    summed."""
+    """Every distinct subformula's rendered size, in post-order, without
+    building any text: `measure` (`len` for characters, `display_width` for
+    terminal cells) of each literal piece, summed."""
     syms = _RENDER[(config.notation, config.encoding)]
 
     def size(node: Formula, *operands: int) -> int:
         return sum(p if type(p) is int else measure(p)
                    for p in _pieces(node, syms, *operands))
 
-    sizes: dict[Formula, int] = {}
-    _fold_expanded(formula, config.notation, size, sizes)
-    return sizes
+    return _fold_expanded(formula, config.notation, size)
 
 
 def translate(text: str, source: SyntaxConfig, target: SyntaxConfig) -> str:

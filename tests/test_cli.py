@@ -584,7 +584,7 @@ class TestOutputBound:
             trace = indirect_check(formula).trace
             for config in configs:
                 sizes = rendered_sizes(formula, config)
-                assert set(trace.columns) <= set(sizes)
+                assert list(sizes) == list(trace.columns)
                 assert all(size == len(render(node, config))
                            for node, size in sizes.items())
                 assert trace_size(trace, config) == len(render_trace(trace, config))
