@@ -22,6 +22,7 @@ from .core import (
     Binary,
     CONNECTIVES,
     Connective,
+    EnumerationBoundError,
     Formula,
     TruthValue,
     Variable,
@@ -138,10 +139,6 @@ VARIABLE_POOL = ("p", "q", "r")
 
 MAX_VARIABLES = 3
 MAX_SLOTS = 5
-
-
-class EnumerationBoundError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -287,15 +284,21 @@ def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
     with that vector; the fillings are scanned one by one only until the
     emit limit is reached.
     """
-    names = VARIABLE_POOL[: spec.max_variables]
-    masks, full = variable_masks(names)
-    leaf_masks = list(masks.values())
+    masks, full = variable_masks(VARIABLE_POOL[: spec.max_variables])
     maps = _vector_counts(spec.shape_policy, spec.max_connective_slots,
-                          leaf_masks, full)
+                          list(masks.values()), full)
     per_slot = tuple(SlotSummary(k, sum(m.values()), m.get(full, 0))
                      for k, m in enumerate(maps))
+    return EnumerationResult(spec, emit_tautologies(spec), per_slot)
+
+
+def emit_tautologies(spec: EnumerationSpec) -> tuple[EmittedTautology, ...]:
+    """The tautologies `enumerate_tautologies(spec)` emits, drawn by the
+    scan alone: the per-slot counts are not computed."""
+    names = VARIABLE_POOL[: spec.max_variables]
+    masks, full = variable_masks(names)
     # islice draws nothing at limit 0 and stops the scan once it is reached.
-    emitted = islice(_tautologies(spec.shape_policy, spec.max_connective_slots,
-                                  [Variable(n) for n in names], leaf_masks, full),
-                     spec.emit_limit)
-    return EnumerationResult(spec, tuple(emitted), per_slot)
+    return tuple(islice(_tautologies(spec.shape_policy, spec.max_connective_slots,
+                                     [Variable(n) for n in names], list(masks.values()),
+                                     full),
+                        spec.emit_limit))

@@ -18,9 +18,11 @@ from .core import (
     Connective,
     Constant,
     Formula,
+    MissingVariableError,
     Negation,
     TruthValue,
     Variable,
+    VariableLimitError,
     fold,
     variables_of,
 )
@@ -31,19 +33,6 @@ Assignment = dict[str, TruthValue]
 DEFAULT_VARIABLE_LIMIT = 20
 
 ROW_ORDERS = ("t-first", "f-first")
-
-
-class MissingVariableError(Exception):
-    def __init__(self, name: str):
-        super().__init__(f"unbound variable: {name}")
-        self.name = name
-
-
-class VariableLimitError(Exception):
-    def __init__(self, count: int, limit: int):
-        super().__init__(f"{count} variables exceed the limit of {limit}")
-        self.count = count
-        self.limit = limit
 
 
 _T = TruthValue.T
@@ -214,6 +203,16 @@ def format_truth_table(
         prefix = " ".join(cells) + " | " if cells else "| "
         lines.append(prefix + sym(value))
     return "\n".join(lines)
+
+
+def table_size(variables: Sequence[str], rows: int, header_size: int) -> int:
+    """len(format_truth_table(...)) for a table of `rows` rows over
+    `variables` under a header of `header_size` characters, without building
+    either: every cell and value symbol is one character, padded as there."""
+    if not variables:
+        return len("| ") + header_size + rows * len("\n| t")
+    cells = sum(max(len(name), 1) for name in variables) + len(variables) - 1
+    return cells + len(" | ") + header_size + rows * (len("\n | t") + cells)
 
 
 @dataclass(frozen=True)

@@ -6,40 +6,34 @@ define (e.g. a triadic implication); 4 exceeded size bounds: the variable
 limits, the enumerator's bounds, and the output bounds below.
 
 Formulas of any nesting depth are accepted.  What a command would print is
-bounded instead: its formula renderings and trace are measured before any
-text is built, and past OUTPUT_LIMIT characters the command exits 4 naming
-the predicted size; `parse --format json` also exits 4 when its `ast` would
-nest deeper than JSON_DEPTH_LIMIT.
+bounded instead: its formula renderings, table rows and trace are measured
+before any text is built, and past OUTPUT_LIMIT characters the command
+exits 4 naming the predicted size; `parse --format json` also exits 4 when
+its `ast` would nest deeper than JSON_DEPTH_LIMIT.
 
 Output is deterministic: the same argv and input produce identical bytes.
 `--format json` emits one schema-stable JSON document per invocation,
 written by `main` once every handler has finished its work.
+
+A command loads only what it uses: this module imports `core` and
+`notation`, each handler imports what it calls from the other submodules
+in its first line, and `main` imports `json` only for `--format json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
-from .atlas import (CONNECTIVES, EnumerationBoundError, EnumerationSpec,
-                    enumerate_tautologies, format_paper_table, identify,
-                    paper_table, render_xframe, xframe_of)
-from .bivalent import (MissingVariableError, VariableLimitError, classify,
-                       entails, format_matrix, format_truth_table,
-                       matrix_table, truth_table)
-from .core import (Binary, Connective, Constant, Formula, Negation,
-                   TriadicValue, TruthValue, Variable, connective, fold,
-                   variables_of)
-from .indirect import indirect_check, render_trace, trace_size
+from .core import (CONNECTIVES, Binary, Connective, Constant, EnumerationBoundError,
+                   Formula, MissingVariableError, Negation, TriadicValue, TruthValue,
+                   UnsupportedConnectiveError, Variable, VariableLimitError, connective,
+                   fold, variables_of)
 from .notation import (Notation, ParseError, SyntaxConfig, display_width,
                        pad_display, parse, render, rendered_sizes, value_symbols)
-from .syllogistic import CategoricalForm, GLOSSES, barbara, render_categorical
-from .trivalent import (TABLES, UnsupportedConnectiveError, evaluate3,
-                        format_tables, restriction_check, truth_table3)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -327,11 +321,24 @@ def _cmd_translate(args, parser) -> Output:
     }, lambda: output)
 
 
+def _check_table_size(formula: Formula, names: list[str], rows: int,
+                      config: SyntaxConfig) -> None:
+    """Check the size of the formula's table text, `rows` rows over the
+    variables `names` under a header of its rendering, before any of the
+    table or its text is built."""
+    from .bivalent import table_size
+    _check_size(table_size(names, rows, rendered_sizes(formula, config)[formula]))
+
+
 def _cmd_table(args, parser) -> Output:
+    from .bivalent import DEFAULT_VARIABLE_LIMIT, format_truth_table, truth_table
     config = _config(args)
     formula = parse(_read_formula(args, parser), config)
+    names = variables_of(formula)
+    if len(names) <= DEFAULT_VARIABLE_LIMIT:  # past it, truth_table raises the limit error
+        _check_table_size(formula, names, 2 ** len(names), config)
     table = truth_table(formula, row_order=args.row_order)
-    rendering = _render_bounded(formula, config)
+    rendering = render(formula, config)
     return Output(lambda: {
         "rendering": rendering,
         "variables": list(table.variables),
@@ -344,6 +351,7 @@ def _cmd_table(args, parser) -> Output:
 
 
 def _cmd_matrix(args, parser) -> Output:
+    from .bivalent import format_matrix, matrix_table
     conn = _resolve_connective(args.connective)
     matrix = matrix_table(conn)
     return Output(lambda: {
@@ -355,6 +363,7 @@ def _cmd_matrix(args, parser) -> Output:
 
 
 def _cmd_check(args, parser) -> Output:
+    from .bivalent import classify
     config = _config(args)
     formula = parse(_read_formula(args, parser), config)
     verdict = classify(formula)
@@ -378,6 +387,7 @@ def _cmd_check(args, parser) -> Output:
 
 
 def _cmd_entails(args, parser) -> Output:
+    from .bivalent import entails
     config = _config(args)
     premises = [parse(text, config) for text in args.premises]
     conclusion = parse(args.conclusion, config)
@@ -398,6 +408,7 @@ def _cmd_entails(args, parser) -> Output:
 
 
 def _cmd_indirect(args, parser) -> Output:
+    from .indirect import indirect_check, render_trace, trace_size
     config = _config(args)
     formula = parse(_read_formula(args, parser), config)
     result = indirect_check(formula)
@@ -434,6 +445,7 @@ _TRIADIC_WORDS = {"v": TriadicValue.V, "l": TriadicValue.L, "f": TriadicValue.F}
 
 
 def _cmd_triadic_tables(args, parser) -> Output:
+    from .trivalent import TABLES, format_tables
     return Output(lambda: {
         "values": [v.value for v in TABLES.negation],
         "negation": [v.value for v in TABLES.negation.values()],
@@ -443,6 +455,7 @@ def _cmd_triadic_tables(args, parser) -> Output:
 
 
 def _cmd_triadic_check_restriction(args, parser) -> Output:
+    from .trivalent import restriction_check
     report = restriction_check()
 
     def text() -> str:
@@ -467,6 +480,7 @@ def _cmd_triadic_check_restriction(args, parser) -> Output:
 
 
 def _cmd_triadic_eval(args, parser) -> Output:
+    from .trivalent import evaluate3
     formula = parse(_read_formula(args, parser), _config(args))
     assignment: dict[str, TriadicValue] = {}
     for item in args.assign:
@@ -482,10 +496,15 @@ def _cmd_triadic_eval(args, parser) -> Output:
 
 
 def _cmd_triadic_table(args, parser) -> Output:
+    from .bivalent import format_truth_table
+    from .trivalent import is_tautology3, truth_table3
     config = _config(args)
     formula = parse(_read_formula(args, parser), config)
+    is_tautology3(formula)  # raises what truth_table3 would, before a row is built
+    names = variables_of(formula)
+    _check_table_size(formula, names, 3 ** len(names), config)
     table = truth_table3(formula)
-    rendering = _render_bounded(formula, config)
+    rendering = render(formula, config)
     return Output(lambda: {
         "rendering": rendering,
         "variables": list(table.variables),
@@ -497,6 +516,7 @@ def _cmd_triadic_table(args, parser) -> Output:
 
 
 def _cmd_connectives_catalog(args, parser) -> Output:
+    from .atlas import xframe_of
     def line(c: Connective) -> str:
         vector = " ".join(v.value for v in c.vector)
         closed = ",".join(xframe_of(c).closed_pairs()) or "none"
@@ -517,6 +537,7 @@ def _cmd_connectives_catalog(args, parser) -> Output:
 
 
 def _cmd_connectives_paper_table(args, parser) -> Output:
+    from .atlas import format_paper_table, paper_table
     table = paper_table()
     return Output(lambda: {
         "rows": _grid_json(table.grid),
@@ -528,6 +549,7 @@ def _cmd_connectives_paper_table(args, parser) -> Output:
 
 
 def _cmd_connectives_identify(args, parser) -> Output:
+    from .atlas import identify
     try:
         values = _parse_values(args.values)
     except ValueError as exc:
@@ -541,6 +563,7 @@ def _cmd_connectives_identify(args, parser) -> Output:
 
 
 def _cmd_connectives_xframe(args, parser) -> Output:
+    from .atlas import render_xframe, xframe_of
     conn = _resolve_connective(args.connective)
     frame = xframe_of(conn)
     return Output(lambda: {
@@ -569,6 +592,7 @@ def _longest_renderings(max_slots: int, config: SyntaxConfig) -> list[int]:
 
 
 def _cmd_connectives_enumerate(args, parser) -> Output:
+    from .atlas import EnumerationSpec, emit_tautologies, enumerate_tautologies
     spec = EnumerationSpec(
         max_variables=args.max_variables,
         max_connective_slots=args.max_slots,
@@ -585,16 +609,18 @@ def _cmd_connectives_enumerate(args, parser) -> Output:
     summary.append(f"total: generated={result.total_generated} "
                    f"tautologies={result.total_tautologies} "
                    f"distinct={result.total_distinct}")
+    emitted = ()
     if not args.count_only and spec.emit_limit != 0:
         # Emission runs in slot order, so the counts say how many of each.
         left, size = spec.emit_limit, len("\n".join(summary))
         for s, longest in zip(result.per_slot,
                               _longest_renderings(spec.max_connective_slots, config)):
-            emitted = min(left, s.tautologies)
-            size += emitted * (longest + 1)
-            left -= emitted
+            drawn = min(left, s.tautologies)
+            size += drawn * (longest + 1)
+            left -= drawn
         _check_size(size)
-        result = enumerate_tautologies(spec)
+        # The counts are in hand: draw the emission without counting again.
+        emitted = emit_tautologies(spec)
 
     return Output(lambda: {
         "max_variables": spec.max_variables,
@@ -606,7 +632,7 @@ def _cmd_connectives_enumerate(args, parser) -> Output:
                 "connectives": [c.name for c in e.connectives],
                 "slots": e.slots,
             }
-            for e in result.emitted
+            for e in emitted
         ],
         "per_slot": [
             {"slots": s.slots, "generated": s.generated,
@@ -616,11 +642,12 @@ def _cmd_connectives_enumerate(args, parser) -> Output:
         "total_generated": result.total_generated,
         "total_tautologies": result.total_tautologies,
         "total_distinct": result.total_distinct,
-    }, lambda: "\n".join([*(render(e.formula, config) for e in result.emitted),
+    }, lambda: "\n".join([*(render(e.formula, config) for e in emitted),
                           *summary]))
 
 
 def _cmd_syllogism_render(args, parser) -> Output:
+    from .syllogistic import GLOSSES, CategoricalForm, render_categorical
     form = CategoricalForm(args.figure, args.subject, args.predicate)
     text = render_categorical(form, _config(args))
     return Output(lambda: {
@@ -632,6 +659,7 @@ def _cmd_syllogism_render(args, parser) -> Output:
 
 
 def _cmd_syllogism_barbara(args, parser) -> Output:
+    from .syllogistic import barbara
     config = _config(args)
     terms = list(args.terms) or ["x", "y", "z"]
     if len(terms) != 3:
@@ -648,6 +676,7 @@ def _cmd_syllogism_barbara(args, parser) -> Output:
 
 
 def _cmd_syllogism_aeio_table(args, parser) -> Output:
+    from .syllogistic import GLOSSES, CategoricalForm, render_categorical
     config = _config(args)
     rows = [(figure, render_categorical(CategoricalForm(figure, "a", "b"), config),
              *GLOSSES[figure]) for figure in "AEIO"]
@@ -679,6 +708,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         output = args.handler(args, args.parser)
         if args.format_ == "json":
+            import json
             document = json.dumps(
                 {"schema": 1, "command": args.path, **output.payload()},
                 ensure_ascii=False, indent=2,

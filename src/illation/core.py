@@ -350,3 +350,33 @@ def subformulas(formula: Formula) -> list[Formula]:
     """Distinct subformulas in post-order: children before parents, the whole
     formula last.  Repeated subformulas appear once, at their first visit."""
     return list(postorder(formula))
+
+
+# Errors the evaluators and the enumerator raise.  They live here, beside the
+# types they are about, so the CLI can map them to exit codes without loading
+# the modules that raise them; those modules re-export them.
+
+class MissingVariableError(Exception):
+    def __init__(self, name: str):
+        super().__init__(f"unbound variable: {name}")
+        self.name = name
+
+
+class VariableLimitError(Exception):
+    def __init__(self, count: int, limit: int):
+        super().__init__(f"{count} variables exceed the limit of {limit}")
+        self.count = count
+        self.limit = limit
+
+
+class UnsupportedConnectiveError(Exception):
+    def __init__(self, name: str):
+        super().__init__(
+            f"no triadic matrix is defined for {name}; only negation, "
+            f"disjunction and conjunction have one"
+        )
+        self.connective_name = name
+
+
+class EnumerationBoundError(Exception):
+    pass

@@ -23,15 +23,17 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .bivalent import MissingVariableError, _check_kind, _check_limit
+from .bivalent import _check_kind, _check_limit
 from .core import (
     Binary,
     Constant,
     Formula,
     INPUT_PAIRS,
+    MissingVariableError,
     Negation,
     TriadicValue,
     TruthValue,
+    UnsupportedConnectiveError,
     Variable,
     connective,
     fold,
@@ -82,15 +84,6 @@ class TriadicTables:
 
 
 TABLES = TriadicTables(NEGATION3, OPLUS_ROWS, ZBAR_ROWS)
-
-
-class UnsupportedConnectiveError(Exception):
-    def __init__(self, name: str):
-        super().__init__(
-            f"no triadic matrix is defined for {name}; only negation, "
-            f"disjunction and conjunction have one"
-        )
-        self.connective_name = name
 
 
 Assignment3 = dict[str, TriadicValue]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from illation import cli
+from illation import atlas, bivalent, cli, indirect, trivalent
 from illation.core import CONNECTIVES, Binary, Variable, variables_of
 from illation.indirect import indirect_check, render_trace, trace_size
 from illation.notation import Notation, SyntaxConfig, parse, render, rendered_sizes
@@ -490,6 +490,24 @@ class TestConnectives:
         assert (code, out) == (4, "")
         assert err == "error: emit_limit must be at least 0, got -1\n"
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--encoding", "ascii"],
+         "c2d84b99380f0368cf6922f1c6de63533664443c6949609c30786431210f2c43"),
+        (["--vars", "2", "--slots", "4", "--shape", "all-trees", "--limit", "500",
+          "--notation", "peirce", "--encoding", "unicode"],
+         "e1d07677a13b19dc0a5225eb826ac6fad9846e12dc5f0e89cd6425e023f3cef9"),
+        (["--format", "json", "--slots", "2", "--limit", "100", "--encoding", "ascii"],
+         "241d287b0d4ba296a26a7c9a919d50d8fe99442f744c27570c382a933daaf645"),
+    ], ids=["default", "all-trees", "json"])
+    def test_enumerate_counts_once(self, argv, digest):
+        """A run that emits counts the fillings once and draws the emission
+        with the scan alone; the digests were taken when it counted twice."""
+        with mock.patch.object(atlas, "_vector_counts",
+                               wraps=atlas._vector_counts) as counts:
+            code, out, err = run_cli("connectives", "enumerate", *argv)
+        assert (code, err, counts.call_count) == (0, "", 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSyllogism:
     def test_render(self):
@@ -591,10 +609,63 @@ class TestOutputBound:
 
     @pytest.fixture
     def nothing_rendered(self, monkeypatch):
-        def refuse(*args):
+        """Every builder of text or table rows refuses, patched where the CLI
+        looks it up: `render` in cli, the others in their modules, from
+        which each handler imports them when it runs."""
+        def refuse(*args, **kwargs):
             raise AssertionError("text built past the limit")
-        for name in ("render", "render_trace"):
-            monkeypatch.setattr(cli, name, refuse)
+        for module, name in ((cli, "render"), (indirect, "render_trace"),
+                             (bivalent, "truth_table"), (bivalent, "format_truth_table"),
+                             (trivalent, "truth_table3")):
+            monkeypatch.setattr(module, name, refuse)
+
+    def test_table_prediction_is_the_output_length(self, monkeypatch):
+        """The table bound counts the rows as well as the header: in every
+        notation-encoding pair and row order, and for the triadic table,
+        the limit one below the text refuses it naming its length."""
+        rng = random.Random(1883)
+        names = ("a", "bb", "long_name", "x1")
+        argvs = [["table", "--encoding", "ascii", "!T | F"],  # closed: one row
+                 ["triadic", "table", "--encoding", "unicode", "¬⊤ ∨ ⊥"]]
+        for i in range(32):
+            notation, encoding = self.PAIRS[i % len(self.PAIRS)]
+            order = ("t-first", "f-first")[i // len(self.PAIRS) % 2]
+            formula = random_formula(rng, max_depth=3, names=names,
+                                     connective_names=ALL_CONNECTIVES)
+            text = render(formula, SyntaxConfig(Notation(notation), encoding))
+            argvs.append(["table", "--row-order", order, "--notation", notation,
+                          "--encoding", encoding, "--", text])
+        for i in range(16):
+            notation, encoding = self.PAIRS[i % len(self.PAIRS)]
+            formula = random_formula(rng, max_depth=3, names=names,
+                                     connective_names=("disjunction", "conjunction"))
+            text = render(formula, SyntaxConfig(Notation(notation), encoding))
+            argvs.append(["triadic", "table", "--notation", notation,
+                          "--encoding", encoding, "--", text])
+        for argv in argvs:
+            monkeypatch.setattr(cli, "OUTPUT_LIMIT", 64 * 2**20)
+            code, out, err = run_cli(*argv)
+            assert (code, err) == (0, "")
+            size = len(out) - 1
+            monkeypatch.setattr(cli, "OUTPUT_LIMIT", size)
+            assert run_cli(*argv) == (0, out, "")
+            monkeypatch.setattr(cli, "OUTPUT_LIMIT", size - 1)
+            code, out, err = run_cli(*argv)
+            assert (code, out, _predicted(err)) == (4, "", size)
+
+    def test_wide_table_exits_before_building(self, nothing_rendered):
+        """Twelve variables with names of about 3,000 characters: 4,096 rows
+        of 36,042 characters each."""
+        text = " & ".join(f"v{i}" + "x" * 3000 for i in range(12))
+        code, out, err = run_cli("table", "--encoding", "ascii", text)
+        assert (code, out, _predicted(err)) == (4, "", 147_700_151)
+
+    def test_table_input_errors_come_before_the_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "OUTPUT_LIMIT", 10)
+        code, _, err = run_cli("table", " & ".join(f"x{i}" for i in range(21)))
+        assert (code, err) == (4, "error: 21 variables exceed the limit of 20\n")
+        code, _, err = run_cli("triadic", "table", "a -> b")
+        assert code == 3 and "no triadic matrix is defined for implication" in err
 
     def test_exponential_translation_exits_before_rendering(self, nothing_rendered):
         chain = " <-> ".join(f"x{i}" for i in range(24))
