@@ -23,8 +23,7 @@ from .core import (
     TruthValue,
     Variable,
     VariableLimitError,
-    fold,
-    variables_of,
+    flatten,
 )
 
 Assignment = dict[str, TruthValue]
@@ -72,19 +71,30 @@ def truth_vector(formula: Formula, masks: Mapping[str, int], full: int) -> int:
     """The formula's value on every row at once: bit k is set where row k
     makes it true.  `masks` and `full` come from `variable_masks`.  A
     repeated subformula is evaluated once."""
-    def value(node: Formula, *operands: int) -> int:
-        if isinstance(node, Binary):
-            return apply_mask(node.connective, *operands, full)
-        if isinstance(node, Negation):
-            return full ^ operands[0]
-        if isinstance(node, Variable):
+    return _vector(flatten(formula)[0], masks, full)
+
+
+def _vector(nodes: list[Formula], masks: Mapping[str, int], full: int) -> int:
+    """`truth_vector` of the last of `nodes`, a `flatten` list: each node's
+    value from its operands' values, found by `id`."""
+    values: dict[int, int] = {}
+    for node in nodes:
+        kind = type(node)
+        if kind is Binary:
+            value = apply_mask(node.connective, values[id(node.left)],
+                               values[id(node.right)], full)
+        elif kind is Negation:
+            value = full ^ values[id(node.operand)]
+        elif kind is Variable:
             if node.name not in masks:
                 raise MissingVariableError(node.name)
-            return masks[node.name]
-        if isinstance(node, Constant):
-            return full if node.value is _T else 0
-        raise TypeError(f"not a formula: {node!r}")
-    return fold(formula, value)
+            value = masks[node.name]
+        elif kind is Constant:
+            value = full if node.value is _T else 0
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        values[id(node)] = value
+    return value
 
 
 def _check_kind(name: str, value: object, kind: type) -> None:
@@ -143,11 +153,11 @@ def truth_table(
     limit: int = DEFAULT_VARIABLE_LIMIT,
 ) -> TruthTable:
     """Full truth table; a closed formula yields one empty-assignment row."""
-    names = variables_of(formula)
+    nodes, names = flatten(formula)
     _check_limit(names, limit)
     masks, full = variable_masks(names)
     # Most significant bit first is the f-first order; t-first reverses it.
-    bits = format(truth_vector(formula, masks, full), f"0{1 << len(names)}b")
+    bits = format(_vector(nodes, masks, full), f"0{1 << len(names)}b")
     if row_order == "t-first":
         bits = bits[::-1]
     rows = tuple(
@@ -227,10 +237,10 @@ class Verdict:
 
 
 def classify(formula: Formula, limit: int = DEFAULT_VARIABLE_LIMIT) -> Verdict:
-    names = variables_of(formula)
+    nodes, names = flatten(formula)
     _check_limit(names, limit)
     masks, full = variable_masks(names)
-    vector = truth_vector(formula, masks, full)
+    vector = _vector(nodes, masks, full)
     kind = {full: "tautology", 0: "contradiction"}.get(vector, "contingent")
     return Verdict(kind, _row(names, full ^ vector), _row(names, vector))
 
@@ -249,12 +259,12 @@ def entails(
     """Semantic entailment over the combined variables of premises and
     conclusion; the counterexample, if any, is the first row in canonical
     order making every premise true and the conclusion false."""
-    ordered = list(dict.fromkeys(
-        name for f in (*premises, conclusion) for name in variables_of(f)
-    ))
+    walks = [flatten(f) for f in (*premises, conclusion)]
+    ordered = list(dict.fromkeys(name for _, names in walks for name in names))
     _check_limit(ordered, limit)
     masks, full = variable_masks(ordered)
-    bad = full ^ truth_vector(conclusion, masks, full)
-    for p in premises:
-        bad &= truth_vector(p, masks, full)
+    *premise_walks, (conclusion_nodes, _) = walks
+    bad = full ^ _vector(conclusion_nodes, masks, full)
+    for nodes, _ in premise_walks:
+        bad &= _vector(nodes, masks, full)
     return EntailmentResult(not bad, _row(ordered, bad))

@@ -194,8 +194,9 @@ class Formula:
     """Base class for formula tree nodes.
 
     A node's hash is computed once, at construction, from its operands'
-    hashes, and `==` compares two trees with an explicit stack, so neither
-    recurses however deep the tree."""
+    hashes, and `==`, `repr`, copying and pickling each go over the tree
+    with an explicit stack or a flat list, so none of them recurses however
+    deep the tree."""
 
     __slots__ = ()
 
@@ -203,9 +204,23 @@ class Formula:
         return self._hash
 
     def __reduce__(self):
-        # Copies and pickles are rebuilt through __init__, so the hash is
-        # computed afresh: string hashes differ from process to process.
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # The distinct nodes as a flat post-order list, operands named by
+        # their place in it, rebuilt by one loop in `_rebuild`.  Each node
+        # goes through __init__ again, so its hash is computed afresh:
+        # string hashes differ from process to process.
+        nodes, _ = flatten(self)
+        place = {id(node): i for i, node in enumerate(nodes)}
+        plan = []
+        for node in nodes:
+            if type(node) is Binary:
+                plan.append((Binary, node.connective,
+                             place[id(node.left)], place[id(node.right)]))
+            elif type(node) is Negation:
+                plan.append((Negation, place[id(node.operand)]))
+            else:
+                plan.append((type(node), *(getattr(node, name)
+                                           for name in node.__match_args__)))
+        return _rebuild, (plan,)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -225,52 +240,105 @@ class Formula:
                     return False
         return True
 
+    def __repr__(self) -> str:
+        # The dataclass repr, `Binary(connective=..., left=..., right=...)`,
+        # written left to right from a stack of strings and nodes.
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            parts = []
+            opening = f"{type(item).__qualname__}("
+            for name in item.__match_args__:
+                value = getattr(item, name)
+                if isinstance(value, Formula):
+                    parts += (f"{opening}{name}=", value)
+                else:
+                    parts.append(f"{opening}{name}={value!r}")
+                opening = ", "
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
 
-def _set_hash(node: Formula, key: tuple) -> None:
-    object.__setattr__(node, "_hash", hash(key))
+
+def _rebuild(plan: list[tuple]) -> Formula:
+    """The formula `Formula.__reduce__` flattened into `plan`."""
+    nodes: list[Formula] = []
+    for kind, *fields in plan:
+        if kind is Binary:
+            connective, left, right = fields
+            nodes.append(Binary(connective, nodes[left], nodes[right]))
+        elif kind is Negation:
+            nodes.append(Negation(nodes[fields[0]]))
+        else:
+            nodes.append(kind(*fields))
+    return nodes[-1]
 
 
-@dataclass(frozen=True, eq=False)
+# The nodes are frozen dataclasses with hand-written constructors: each sets
+# its slots through their descriptors (which is what object.__setattr__
+# would reach, without the lookup), `_hash` included.
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Constant(Formula):
     __slots__ = ("value", "_hash")
     value: TruthValue
 
-    def __post_init__(self) -> None:
-        _set_hash(self, (Constant, self.value))
+    def __init__(self, value: TruthValue) -> None:
+        _set_value(self, value)
+        _set_constant_hash(self, hash((Constant, value)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Variable(Formula):
     __slots__ = ("name", "_hash")
     name: str
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
+    def __init__(self, name: str) -> None:
+        if not _NAME_RE.match(name):
             raise ValueError(
                 f"variable names are letters, digits and underscores starting "
-                f"with a letter; got {self.name!r}"
+                f"with a letter; got {name!r}"
             )
-        _set_hash(self, (Variable, self.name))
+        _set_name(self, name)
+        _set_variable_hash(self, hash((Variable, name)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Negation(Formula):
     __slots__ = ("operand", "_hash")
     operand: Formula
 
-    def __post_init__(self) -> None:
-        _set_hash(self, (Negation, self.operand._hash))
+    def __init__(self, operand: Formula) -> None:
+        _set_operand(self, operand)
+        _set_negation_hash(self, hash((Negation, operand._hash)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Binary(Formula):
     __slots__ = ("connective", "left", "right", "_hash")
     connective: Connective
     left: Formula
     right: Formula
 
-    def __post_init__(self) -> None:
-        _set_hash(self, (self.connective.column, self.left._hash, self.right._hash))
+    def __init__(self, connective: Connective, left: Formula, right: Formula) -> None:
+        _set_connective(self, connective)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_binary_hash(self, hash((connective.column, left._hash, right._hash)))
+
+
+def _slot_setters(cls: type) -> tuple:
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+_set_value, _set_constant_hash = _slot_setters(Constant)
+_set_name, _set_variable_hash = _slot_setters(Variable)
+_set_operand, _set_negation_hash = _slot_setters(Negation)
+_set_connective, _set_left, _set_right, _set_binary_hash = _slot_setters(Binary)
 
 
 def implies(left: Formula, right: Formula) -> Binary:
@@ -341,9 +409,37 @@ def fold(formula: Formula, combine: Callable[..., T],
     return values[formula]
 
 
+def flatten(formula: Formula) -> tuple[list[Formula], list[str]]:
+    """From one walk: the formula's nodes in post-order (each after its
+    operands, left first, the whole formula last) and its variable names in
+    first-occurrence order.  Nodes are told apart by identity, so a node
+    object met again is not walked again but an equal copy of it is; the
+    evaluators look operands up by `id` and pay no hash per node."""
+    nodes: list[Formula] = []
+    names: dict[str, None] = {}
+    entered: set[int] = set()
+    stack: list = [formula]  # nodes, each operator above _EXIT and itself
+    while stack:
+        node = stack.pop()
+        if node is _EXIT:
+            nodes.append(stack.pop())
+        elif id(node) not in entered:
+            entered.add(id(node))
+            kind = type(node)
+            if kind is Binary:
+                stack += (node, _EXIT, node.right, node.left)
+            elif kind is Negation:
+                stack += (node, _EXIT, node.operand)
+            else:
+                if kind is Variable:
+                    names[node.name] = None
+                nodes.append(node)
+    return nodes, list(names)
+
+
 def variables_of(formula: Formula) -> list[str]:
     """Variable names in first-occurrence (left-to-right) order, no duplicates."""
-    return [node.name for node in postorder(formula) if isinstance(node, Variable)]
+    return flatten(formula)[1]
 
 
 def subformulas(formula: Formula) -> list[Formula]:

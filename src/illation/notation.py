@@ -48,11 +48,17 @@ from __future__ import annotations
 
 import enum
 import re
+import string
 import unicodedata
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from operator import length_hint
+from typing import Callable, NamedTuple, TypeVar
 
 from .core import (
+    CONJUNCTION,
+    DISJUNCTION,
+    EQUIVALENCE,
+    IMPLICATION,
     Binary,
     Connective,
     Constant,
@@ -62,9 +68,7 @@ from .core import (
     Variable,
     conj,
     disj,
-    equiv,
     fold,
-    implies,
 )
 
 T = TypeVar("T")
@@ -122,10 +126,10 @@ def _error(position: int, message: str, expected: tuple[str, ...] = ()) -> Parse
 # ---------------------------------------------------------------------------
 # lexing
 
-# token kinds: impl, and, or, equiv, not (prefix), postnot (postfix),
-# lparen, rparen, var, const
-
-_INPUT_SYMBOLS: dict[Notation, tuple[tuple[str, str], ...]] = {
+# Each input symbol is a binary operator's kind (see _BINARY_OPERATORS), a
+# negation mark ("not" before its operand, "postnot" after it), or the truth
+# value of a constant.
+_INPUT_SYMBOLS: dict[Notation, tuple[tuple[str, str | TruthValue], ...]] = {
     Notation.PEIRCE: (
         ("-<", "impl"), ("≺", "impl"),
         ("·", "and"), ("*", "and"),
@@ -137,7 +141,7 @@ _INPUT_SYMBOLS: dict[Notation, tuple[tuple[str, str], ...]] = {
         ("·", "and"), ("*", "and"),
         ("+", "or"),
         (PRIME, "postnot"), ("'", "postnot"),
-        ("1", "const:t"), ("0", "const:f"),
+        ("1", TruthValue.T), ("0", TruthValue.F),
     ),
     Notation.PEANO_RUSSELL: (
         ("==", "equiv"), ("≡", "equiv"),
@@ -145,7 +149,7 @@ _INPUT_SYMBOLS: dict[Notation, tuple[tuple[str, str], ...]] = {
         ("·", "and"), (".", "and"),
         ("∨", "or"), ("|", "or"),
         ("∼", "not"), ("~", "not"),
-        ("⊤", "const:t"), ("⊥", "const:f"),
+        ("⊤", TruthValue.T), ("⊥", TruthValue.F),
     ),
     Notation.MODERN: (
         ("<->", "equiv"), ("↔", "equiv"),
@@ -153,7 +157,7 @@ _INPUT_SYMBOLS: dict[Notation, tuple[tuple[str, str], ...]] = {
         ("∧", "and"), ("&", "and"),
         ("∨", "or"), ("|", "or"),
         ("¬", "not"), ("!", "not"),
-        ("⊤", "const:t"), ("⊥", "const:f"),
+        ("⊤", TruthValue.T), ("⊥", TruthValue.F),
     ),
 }
 
@@ -169,154 +173,83 @@ RESERVED_WORDS: dict[Notation, dict[str, TruthValue]] = {
 _FOREIGN: dict[str, set[Notation]] = {}
 for _n, _syms in _INPUT_SYMBOLS.items():
     for _lit, _kind in _syms:
-        if not _kind.startswith("const"):
+        if not isinstance(_kind, TruthValue):
             _FOREIGN.setdefault(_lit, set()).add(_n)
 
 _MATCHING_CLOSE = {"(": ")", "[": "]", "{": "}"}
-
-
-# A token is (kind, text, position, value); value is a constant's only.
-_Token = tuple[str, str, int, TruthValue | None]
-_SCANNERS: dict[Notation, re.Pattern] = {}
-
-
-def _scanner(notation: Notation) -> re.Pattern:
-    """Spacing, then one token of the notation, in a group named after its
-    kind: lparen, rparen, name, symbol (longest first) or, for any other
-    character but a space, other.  A name is ASCII letters, digits and
-    underscores starting with a letter."""
-    if notation not in _SCANNERS:
-        symbols = sorted((lit for lit, _ in _INPUT_SYMBOLS[notation]),
-                         key=len, reverse=True)
-        _SCANNERS[notation] = re.compile(
-            r"\s*(?:(?P<lparen>[([{])|(?P<rparen>[)\]}])|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-            r"|(?P<symbol>" + "|".join(map(re.escape, symbols)) + r")|(?P<other>\S))")
-    return _SCANNERS[notation]
-
-
-def _tokenize(text: str, notation: Notation) -> list[_Token]:
-    kinds = dict(_INPUT_SYMBOLS[notation])
-    reserved = RESERVED_WORDS[notation]
-    tokens: list[_Token] = []
-    for found in _scanner(notation).finditer(text):
-        group = found.lastgroup
-        word, i = found[group], found.start(group)
-        if group == "symbol":
-            kind = kinds[word]
-            if kind.startswith("const:"):
-                value = TruthValue.T if kind.endswith("t") else TruthValue.F
-                tokens.append(("const", word, i, value))
-            else:
-                tokens.append((kind, word, i, None))
-        elif group == "name":
-            if word in reserved:
-                tokens.append(("const", word, i, reserved[word]))
-            else:
-                tokens.append(("var", word, i, None))
-        elif group == "other":
-            owners = sorted(other.value for other in _FOREIGN.get(word, ())
-                            if other is not notation)
-            if owners:
-                raise _error(i, f"{word!r} is a symbol of the {', '.join(owners)} "
-                                f"notation, not of {notation.value}")
-            raise _error(i, f"unexpected character {word!r}")
-        else:
-            tokens.append((group, word, i, None))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# parsing
+_CLOSERS = frozenset(_MATCHING_CLOSE.values())
 
 _HAS_EQUIV = {Notation.PEANO_RUSSELL, Notation.MODERN}
 
-
 # Binary operator kinds: precedence (higher binds tighter), whether a chain
-# of them nests to the left, and the node they build.  Prefix negation binds
+# of them nests to the left, and their connective.  Prefix negation binds
 # tighter than all of them.
-_BINARY_OPERATORS: dict[str, tuple[int, bool, Callable[[Formula, Formula], Formula]]] = {
-    "and": (4, True, conj),
-    "or": (3, True, disj),
-    "impl": (2, False, implies),
-    "equiv": (1, False, equiv),
+_BINARY_OPERATORS: dict[str, tuple[int, bool, Connective]] = {
+    "and": (4, True, CONJUNCTION),
+    "or": (3, True, DISJUNCTION),
+    "impl": (2, False, IMPLICATION),
+    "equiv": (1, False, EQUIVALENCE),
 }
 _PREFIX_PRECEDENCE = 5
 _OPERAND_EXPECTED = ("variable", "constant", "'('")
 
+# Lexeme roles.  Where an operand is expected, an operand is read and a
+# prefix negation or an open bracket waits; after an operand, a postfix mark
+# applies at once, and a binary operator or a closing bracket first reduces
+# the operators waiting above its reach.  Any other role there is an error.
+_OPERAND, _PREFIX, _OPEN, _POSTFIX, _BINARY, _CLOSE = range(6)
 
-def _reduce(operands: list[Formula], kind: str) -> None:
-    """Apply a prefix negation or a binary operator to the top operands."""
-    if kind == "not":
-        operands[-1] = Negation(operands[-1])
-    else:
-        right = operands.pop()
-        operands[-1] = _BINARY_OPERATORS[kind][2](operands[-1], right)
+# A lexeme's entry is (role, power, reach, payload).  An operator waits on
+# the stack with its power: twice its precedence, and 0 for an open bracket,
+# so that one comparison stops a reduction at a bracket.  Pending operators
+# of a power above the reach are reduced: 2p - 1 for a left-nesting binary
+# operator of precedence p, 2p for a right-nesting one, 0 for a closing
+# bracket.  The payload is an operand's node, a binary operator's
+# connective, or the closing bracket an open one wants.
+_Entry = tuple[int, int, int, object]
+
+_END = ""  # the lexeme put after the last: it closes the bottom of the stack
+_BOTTOM: _Entry = (_OPEN, 0, 0, _END)
+_NAME_START = frozenset(string.ascii_letters)
+_LEXERS: dict[Notation, tuple[re.Pattern, dict[str, _Entry]]] = {}
 
 
-def _parse_tokens(tokens: list[_Token], length: int) -> Formula:
-    """Operator-precedence parse over an operand stack and an operator stack
-    of (kind, text, position): prefix negations, binary operators and open
-    brackets.  Postfix marks apply at once to the operand just read, so they
-    bind tighter than a pending prefix negation."""
-    operands: list[Formula] = []
-    operators: list[tuple[str, str, int]] = []
-    names: dict[str, Variable] = {}  # one node per variable name
-    expect_operand = True
-    for kind, text, pos, value in tokens:
-        if expect_operand:
-            if kind == "not" or kind == "lparen":
-                operators.append((kind, text, pos))
-                continue
-            if kind == "var":
-                if text not in names:
-                    names[text] = Variable(text)
-                operands.append(names[text])
-            elif kind == "const":
-                operands.append(Constant(value))
+def _lexer(notation: Notation) -> tuple[re.Pattern, dict[str, _Entry]]:
+    """The notation's pattern and lexeme table, built on first use.
+
+    The pattern skips spacing and captures one lexeme: a bracket, a name
+    (ASCII letters, digits and underscores starting with a letter), a
+    symbol (longest first), or any other character but a space.  The table
+    has an entry for every bracket, symbol and constant word; a lexeme it
+    lacks is a variable name or a character the notation does not use."""
+    if notation not in _LEXERS:
+        table: dict[str, _Entry] = {_END: (_CLOSE, 0, 0, None)}
+        for opener, closer in _MATCHING_CLOSE.items():
+            table[opener] = (_OPEN, 0, 0, closer)
+            table[closer] = (_CLOSE, 0, 0, None)
+        for word, value in RESERVED_WORDS[notation].items():
+            table[word] = (_OPERAND, 0, 0, Constant(value))
+        for symbol, kind in _INPUT_SYMBOLS[notation]:
+            if isinstance(kind, TruthValue):
+                table[symbol] = (_OPERAND, 0, 0, Constant(kind))
+            elif kind == "not":
+                table[symbol] = (_PREFIX, 2 * _PREFIX_PRECEDENCE, 0, None)
+            elif kind == "postnot":
+                table[symbol] = (_POSTFIX, 0, 0, None)
             else:
-                raise _error(pos, f"unexpected {text!r}", _OPERAND_EXPECTED)
-            expect_operand = False
-        elif kind == "postnot":
-            operands[-1] = Negation(operands[-1])
-        elif kind in _BINARY_OPERATORS:
-            precedence, nests_left, _ = _BINARY_OPERATORS[kind]
-            while operators and operators[-1][0] != "lparen":
-                top = operators[-1][0]
-                above = (_PREFIX_PRECEDENCE if top == "not"
-                         else _BINARY_OPERATORS[top][0])
-                if above < precedence or (above == precedence and not nests_left):
-                    break
-                _reduce(operands, operators.pop()[0])
-            operators.append((kind, text, pos))
-            expect_operand = True
-        else:
-            while operators and operators[-1][0] != "lparen":
-                _reduce(operands, operators.pop()[0])
-            if not operators:
-                raise _error(pos, f"unexpected {text!r} after a complete formula",
-                             ("end of input", "binary operator"))
-            _, opener, opened_at = operators[-1]
-            want = _MATCHING_CLOSE[opener]
-            if kind != "rparen":
-                raise _error(pos, "unbalanced bracket", (f"'{want}'",))
-            if text != want:
-                raise _error(
-                    pos,
-                    f"mismatched bracket: {opener!r} opened at position "
-                    f"{opened_at} is closed by {text!r}",
-                    (f"'{want}'",),
-                )
-            operators.pop()
-    if expect_operand:
-        raise _error(length, "formula ends where an operand was expected",
-                     _OPERAND_EXPECTED)
-    while operators:
-        kind, text, _ = operators.pop()
-        if kind == "lparen":
-            raise _error(length, "unbalanced bracket", (f"'{_MATCHING_CLOSE[text]}'",))
-        _reduce(operands, kind)
-    return operands[0]
+                precedence, nests_left, conn = _BINARY_OPERATORS[kind]
+                reach = 2 * precedence - 1 if nests_left else 2 * precedence
+                table[symbol] = (_BINARY, 2 * precedence, reach, conn)
+        symbols = sorted((lit for lit, _ in _INPUT_SYMBOLS[notation]),
+                         key=len, reverse=True)
+        pattern = re.compile(r"\s*([([{]|[)\]}]|[A-Za-z][A-Za-z0-9_]*|"
+                             + "|".join(map(re.escape, symbols)) + r"|\S)")
+        _LEXERS[notation] = pattern, table
+    return _LEXERS[notation]
 
+
+# ---------------------------------------------------------------------------
+# parsing
 
 def parse(text: str, config: SyntaxConfig = SyntaxConfig()) -> Formula:
     """Parse `text` under `config` into a formula tree.
@@ -324,12 +257,120 @@ def parse(text: str, config: SyntaxConfig = SyntaxConfig()) -> Formula:
     Raises ParseError (carrying a ParseDiagnostic with position, message and
     expected-token list) on empty input, unbalanced brackets, misplaced
     operators, and symbols belonging to a different notation.
+
+    One operator-precedence pass over the lexemes, with an operand stack and
+    an operator stack of table entries.  Postfix marks apply at once to the
+    operand just read, so they bind tighter than a pending prefix negation.
+    Within one parse, equal subformulas are one node: one `Variable` per
+    name, one `Negation` per operand node and one `Binary` per connective
+    and pair of operand nodes.
     """
     normalized = unicodedata.normalize("NFD", text)
-    tokens = _tokenize(normalized, config.notation)
-    if not tokens:
+    pattern, table = _lexer(config.notation)
+    lexemes = pattern.findall(normalized)
+    if not lexemes:
         raise _error(0, "empty input", ("formula",))
-    return _parse_tokens(tokens, len(normalized))
+    lexemes.append(_END)
+    operands: list[Formula] = []
+    operators: list[_Entry] = [_BOTTOM]
+    known = dict(table)  # and each name read, as an operand entry
+    shared: dict = {}  # id(operand), or (column, id(left), id(right)) -> node
+    expect_operand = True
+    remaining = iter(lexemes)
+    for lexeme in remaining:
+        entry = known.get(lexeme)
+        if entry is None:  # a new name, or a character the notation lacks
+            if not expect_operand or lexeme[0] not in _NAME_START:
+                break
+            entry = known[lexeme] = (_OPERAND, 0, 0, Variable(lexeme))
+        role = entry[0]
+        if expect_operand:
+            if role == _OPERAND:
+                operands.append(entry[3])
+                expect_operand = False
+            elif role == _PREFIX or role == _OPEN:
+                operators.append(entry)
+            else:
+                break
+        elif role == _POSTFIX:
+            operand = operands[-1]
+            node = shared.get(id(operand))
+            if node is None:
+                node = shared[id(operand)] = Negation(operand)
+            operands[-1] = node
+        elif role >= _BINARY:
+            reach = entry[2]
+            while operators[-1][1] > reach:
+                _, _, _, conn = operators.pop()
+                right = operands.pop()
+                if conn is None:  # a prefix negation
+                    node = shared.get(id(right))
+                    if node is None:
+                        node = shared[id(right)] = Negation(right)
+                else:
+                    left = operands.pop()
+                    key = (conn.column, id(left), id(right))
+                    node = shared.get(key)
+                    if node is None:
+                        node = shared[key] = Binary(conn, left, right)
+                operands.append(node)
+            if role == _BINARY:
+                operators.append(entry)
+                expect_operand = True
+            elif operators[-1][3] == lexeme:  # the bracket it closes
+                operators.pop()
+            else:
+                break
+        else:
+            break
+    else:
+        return operands[0]
+    stopped_at = len(lexemes) - length_hint(remaining) - 1
+    raise _diagnosis(normalized, config.notation, lexemes, stopped_at, expect_operand)
+
+
+def _diagnosis(text: str, notation: Notation, lexemes: list[str], index: int,
+               expect_operand: bool) -> ParseError:
+    """The error of a parse of `text` that stopped at `lexemes[index]`,
+    where an operand was expected or not.  The first character the notation
+    does not use is reported before any syntax error.  Positions are found
+    by scanning the text again."""
+    pattern, table = _lexer(notation)
+    positions = [found.start(1) for found in pattern.finditer(text)]
+    for word, position in zip(lexemes, positions):
+        if word not in table and word[0] not in _NAME_START:
+            owners = sorted(other.value for other in _FOREIGN.get(word, ())
+                            if other is not notation)
+            if owners:
+                return _error(position, f"{word!r} is a symbol of the "
+                                        f"{', '.join(owners)} notation, not of {notation.value}")
+            return _error(position, f"unexpected character {word!r}")
+    positions.append(len(text))  # the place of _END
+    word, position = lexemes[index], positions[index]
+    if expect_operand:
+        if word == _END:
+            return _error(position, "formula ends where an operand was expected",
+                          _OPERAND_EXPECTED)
+        return _error(position, f"unexpected {word!r}", _OPERAND_EXPECTED)
+    open_brackets = []  # the indices of the brackets open before `index`
+    for i in range(index):
+        if lexemes[i] in _MATCHING_CLOSE:
+            open_brackets.append(i)
+        elif lexemes[i] in _CLOSERS:
+            open_brackets.pop()
+    if not open_brackets:
+        return _error(position, f"unexpected {word!r} after a complete formula",
+                      ("end of input", "binary operator"))
+    opener = lexemes[open_brackets[-1]]
+    want = (f"'{_MATCHING_CLOSE[opener]}'",)
+    if word not in _CLOSERS:
+        return _error(position, "unbalanced bracket", want)
+    return _error(
+        position,
+        f"mismatched bracket: {opener!r} opened at position "
+        f"{positions[open_brackets[-1]]} is closed by {word!r}",
+        want,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,43 +497,58 @@ _BINARY_SYMBOL_FIELD = {
     "equivalence": "equiv",
 }
 
+class _Layout(NamedTuple):
+    """A pair's literal strings around a node's operands (see `_frame`)."""
+
+    binaries: dict[str, tuple[tuple[str, str, str], ...]]
+    negations: tuple[tuple[str, str], tuple[str, str]]
+    macron: bool
+    constants: dict[TruthValue, str]
+
+
+def _layout(syms: _RenderSymbols) -> _Layout:
+    binaries = {}
+    for name, field in _BINARY_SYMBOL_FIELD.items():
+        if getattr(syms, field) is not None:
+            middle = f" {getattr(syms, field)} "
+            # by 2 * (left bracketed) + (right bracketed)
+            binaries[name] = (("", middle, ""), ("", middle + "(", ")"),
+                              ("(", ")" + middle, ""), ("(", ")" + middle + "(", ")"))
+    if syms.neg_postfix is not None:
+        negations = (("", syms.neg_postfix), ("(", ")" + syms.neg_postfix))
+    else:
+        negations = ((syms.neg_prefix, ""), (syms.neg_prefix + "(", ")"))
+    constants = {TruthValue.T: syms.const_t, TruthValue.F: syms.const_f}
+    return _Layout(binaries, negations, syms.macron, constants)
+
+
+_LAYOUTS = {key: _layout(syms) for key, syms in _RENDER.items()}
+
 
 def _bracketed(node: Formula) -> bool:
     """Whether the node renders as a binary, and so is bracketed as an operand."""
     return type(node) is Binary and node.connective.name not in _NEGATED_EXPANSIONS
 
 
-def _pieces(node: Formula, syms: _RenderSymbols, *operands: T) -> tuple:
-    """A node's rendering as its literal strings and its operands' values
-    (their texts, sizes or the operands themselves), in order.  `node` is
-    a leaf, a negation or a binary the notation has a symbol for."""
-    if isinstance(node, Binary):
-        middle = f" {getattr(syms, _BINARY_SYMBOL_FIELD[node.connective.name])} "
-        left, right = operands
-        if _bracketed(node.left):  # every compound operand is bracketed
-            if _bracketed(node.right):
-                return "(", left, ")" + middle + "(", right, ")"
-            return "(", left, ")" + middle, right
-        if _bracketed(node.right):
-            return left, middle + "(", right, ")"
-        return left, middle, right
-    if isinstance(node, Negation):
-        operand, (value,) = node.operand, operands
-        if syms.macron and (
-            isinstance(operand, Constant)
-            or (isinstance(operand, Variable) and len(operand.name) == 1)
+def _frame(node: Formula, layout: _Layout) -> tuple[str, ...]:
+    """The literal strings before, between and after a node's operands:
+    (before, between, after) for a binary the pair has a symbol for,
+    (before, after) for a negation, (text,) for a leaf.  Every compound
+    operand is bracketed."""
+    if type(node) is Binary:
+        return layout.binaries[node.connective.name][
+            2 * _bracketed(node.left) + _bracketed(node.right)]
+    if type(node) is Negation:
+        operand = node.operand
+        if layout.macron and (
+            type(operand) is Constant
+            or (type(operand) is Variable and len(operand.name) == 1)
         ):
-            return value, MACRON
-        if syms.neg_postfix is not None:
-            if _bracketed(operand):
-                return "(", value, ")" + syms.neg_postfix
-            return value, syms.neg_postfix
-        if _bracketed(operand):
-            return syms.neg_prefix + "(", value, ")"
-        return syms.neg_prefix, value
-    if isinstance(node, Variable):
+            return "", MACRON
+        return layout.negations[_bracketed(operand)]
+    if type(node) is Variable:
         return (node.name,)
-    return (syms.const_t if node.value is TruthValue.T else syms.const_f,)
+    return (layout.constants[node.value],)
 
 
 def render(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> str:
@@ -501,9 +557,12 @@ def render(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> str:
     The output reparses under the same config to the same tree, after the
     one-time expansion of connectives the notation has no symbol for.  One
     walk with an explicit stack writes the text left to right, expanding a
-    connective the notation lacks where it meets it.
+    connective the notation lacks where it meets it.  It goes down each
+    left spine writing the text before each left operand at once; what
+    follows a left operand waits on the stack, as one string where the
+    right operand is a variable.
     """
-    syms = _RENDER[(config.notation, config.encoding)]
+    layout = _LAYOUTS[(config.notation, config.encoding)]
     primitives = PRIMITIVE_CONNECTIVES[config.notation]
     out: list[str] = []
     stack: list = [formula]
@@ -511,21 +570,30 @@ def render(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> str:
     expansions: dict[int, Formula] = {}
     while stack:
         item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        elif type(item) is Variable:
-            out.append(item.name)
-        elif isinstance(item, Binary) and item.connective.name not in primitives:
-            if id(item) not in expansions:
-                expand = EXPANSIONS[item.connective.name]
-                expansions[id(item)] = expand(item.left, item.right)
-            stack.append(expansions[id(item)])
-        elif isinstance(item, Binary):
-            stack += reversed(_pieces(item, syms, item.left, item.right))
-        elif isinstance(item, Negation):
-            stack += reversed(_pieces(item, syms, item.operand))
-        else:
-            out += _pieces(item, syms)
+        while type(item) is not str:
+            if type(item) is Binary and item.connective.name not in primitives:
+                if id(item) not in expansions:
+                    expand = EXPANSIONS[item.connective.name]
+                    expansions[id(item)] = expand(item.left, item.right)
+                item = expansions[id(item)]
+                continue
+            frame = _frame(item, layout)
+            if type(item) is Binary:
+                before, between, after = frame
+                right = item.right
+                if type(right) is Variable:
+                    stack.append(between + right.name + after)
+                else:
+                    stack += (after, right, between)
+                out.append(before)
+                item = item.left
+            elif type(item) is Negation:
+                out.append(frame[0])
+                stack.append(frame[1])
+                item = item.operand
+            else:
+                item = frame[0]
+        out.append(item)
     return "".join(out)
 
 
@@ -537,11 +605,10 @@ def rendered_sizes(
     """Every distinct subformula's rendered size, in post-order, without
     building any text: `measure` (`len` for characters, `display_width` for
     terminal cells) of each literal piece, summed."""
-    syms = _RENDER[(config.notation, config.encoding)]
+    layout = _LAYOUTS[(config.notation, config.encoding)]
 
     def size(node: Formula, *operands: int) -> int:
-        return sum(p if type(p) is int else measure(p)
-                   for p in _pieces(node, syms, *operands))
+        return sum(map(measure, _frame(node, layout))) + sum(operands)
 
     return _fold_expanded(formula, config.notation, size)
 

@@ -1,5 +1,7 @@
 """Formula AST and the sixteen-connective catalog."""
 
+import copy
+import dataclasses
 import pickle
 import subprocess
 import sys
@@ -26,6 +28,7 @@ from illation.core import (
     connective_from_vector,
     disj,
     equiv,
+    flatten,
     implies,
     subformulas,
     variables_of,
@@ -169,3 +172,106 @@ class TestFormula:
         loaded = pickle.loads(dumped)
         assert loaded == illation.parse(text)
         assert loaded in {illation.parse(text)}
+
+
+# One small formula of every node kind, with its repr as the dataclass repr
+# writes it.
+NODES = {
+    "constant": (Constant(T), "Constant(value=t)"),
+    "variable": (Variable("x_1"), "Variable(name='x_1')"),
+    "negation": (Negation(Variable("a")), "Negation(operand=Variable(name='a'))"),
+    "binary": (
+        Binary(CONJUNCTION, Negation(Variable("a")), Constant(F)),
+        "Binary(connective=Connective(column=5, name='conjunction', "
+        "vector=(t, f, f, f), note='printed column 5 of the 1902 table'), "
+        "left=Negation(operand=Variable(name='a')), right=Constant(value=f))",
+    ),
+}
+FIELDS = {
+    "constant": ("value",),
+    "variable": ("name",),
+    "negation": ("operand",),
+    "binary": ("connective", "left", "right"),
+}
+
+
+class TestNodeConstructors:
+    """The nodes' hand-written constructors keep the dataclass behaviour."""
+
+    @pytest.mark.parametrize("kind", NODES)
+    def test_repr_is_pinned(self, kind):
+        node, text = NODES[kind]
+        assert repr(node) == text
+
+    @pytest.mark.parametrize("kind", NODES)
+    def test_fields_and_match_args(self, kind):
+        node, _ = NODES[kind]
+        names = tuple(f.name for f in dataclasses.fields(node))
+        assert names == FIELDS[kind] == type(node).__match_args__
+
+    @pytest.mark.parametrize("kind", NODES)
+    def test_replace_rebuilds_and_rehashes(self, kind):
+        node, _ = NODES[kind]
+        assert dataclasses.replace(node) == node
+        assert hash(dataclasses.replace(node)) == hash(node)
+        name = FIELDS[kind][-1]
+        other = {"value": F, "name": "y", "operand": Variable("b"),
+                 "right": Constant(T)}[name]
+        changed = dataclasses.replace(node, **{name: other})
+        assert getattr(changed, name) == other
+        assert changed != node
+        fresh = type(node)(*(getattr(changed, f) for f in FIELDS[kind]))
+        assert changed == fresh and hash(changed) == hash(fresh)
+
+    @pytest.mark.parametrize("kind", NODES)
+    def test_pickles_and_copies_round_trip(self, kind):
+        node, text = NODES[kind]
+        for again in (pickle.loads(pickle.dumps(node)), copy.copy(node),
+                      copy.deepcopy(node)):
+            assert type(again) is type(node)
+            assert again == node and hash(again) == hash(node)
+            assert repr(again) == text
+
+    @pytest.mark.parametrize("kind", NODES)
+    def test_nodes_are_frozen(self, kind):
+        node, _ = NODES[kind]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, FIELDS[kind][0], None)
+
+    def test_a_bad_variable_name_still_raises(self):
+        with pytest.raises(ValueError):
+            Variable("2a")
+        with pytest.raises(ValueError):
+            dataclasses.replace(Variable("a"), name="a b")
+
+    def test_shared_operands_pickle_once(self):
+        a = Variable("a")
+        inner = implies(a, a)
+        formula = conj(inner, inner)
+        loaded = pickle.loads(pickle.dumps(formula))
+        assert loaded == formula
+        assert loaded.left is loaded.right
+
+
+class TestFlatten:
+    def test_nodes_in_postorder_and_names_in_first_occurrence_order(self):
+        b, a = Variable("b"), Variable("a")
+        inner = disj(b, a)
+        formula = conj(inner, Negation(b))
+        nodes, names = flatten(formula)
+        assert nodes == [b, a, inner, Negation(b), formula]
+        assert names == ["b", "a"]
+
+    def test_a_node_object_is_walked_once(self):
+        a = Variable("a")
+        inner = implies(a, a)
+        nodes, names = flatten(conj(inner, inner))
+        assert [id(node) for node in nodes] == [id(a), id(inner), id(nodes[-1])]
+        assert names == ["a"]
+
+    def test_an_equal_copy_is_walked_again(self):
+        formula = conj(Variable("a"), Variable("a"))
+        nodes, names = flatten(formula)
+        assert len(nodes) == 3
+        assert names == ["a"]
+        assert variables_of(formula) == ["a"]

@@ -123,6 +123,45 @@ class TestParsingBasics:
         assert parse("a ≺ b", cfg("peirce", "ascii")) == implies(A, B)
 
 
+class TestSharedNodes:
+    """Within one parse, equal subformulas are one node object."""
+
+    def test_equal_binaries_are_one_node(self):
+        formula = parse("((a | b) -> c) <-> ((a | b) -> c)")
+        assert formula.left is formula.right
+        shared = parse("(a | b) & !(a | b)")
+        assert shared.left is shared.right.operand
+
+    def test_equal_negations_are_one_node(self):
+        formula = parse("!!a & !!a")
+        assert formula.left is formula.right
+        assert formula.left.operand is formula.right.operand
+        postfix = parse("a'' · a''", cfg("schroeder"))
+        assert postfix.left is postfix.right
+
+    def test_one_variable_node_per_name(self):
+        formula = parse("a -> (b -> a)")
+        assert formula.left is formula.right.right
+
+    def test_unequal_subformulas_stay_apart(self):
+        formula = parse("(a -> b) & (b -> a) & (a & b)")
+        assert formula.left.left is not formula.left.right
+        assert formula.right == conj(A, B)
+
+    def test_two_parses_are_equal_and_hash_equal(self):
+        text = "((a | !b) -> c) <-> !((a | !b) -> c)"
+        first, second = parse(text), parse(text)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert {first: 1}[second] == 1
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+    def test_shared_tree_equals_the_tree_built_by_hand(self, config):
+        built = equiv(conj(implies(A, Negation(B)), implies(A, Negation(B))),
+                      disj(Negation(B), Constant(T)))
+        assert parse(render(built, config), config) == expand_for(built, config.notation)
+
+
 class TestConstantsAndReservedWords:
     def test_peirce_constants(self):
         assert parse("v", cfg("peirce")) == Constant(T)
