@@ -497,6 +497,7 @@ _BINARY_SYMBOL_FIELD = {
     "equivalence": "equiv",
 }
 
+
 class _Layout(NamedTuple):
     """A pair's literal strings around a node's operands (see `_frame`)."""
 
@@ -581,8 +582,8 @@ def render(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> str:
             if type(item) is Binary:
                 before, between, after = frame
                 right = item.right
-                if type(right) is Variable:
-                    stack.append(between + right.name + after)
+                if type(right) is Variable:  # so not bracketed: after is ""
+                    stack.append(between + right.name)
                 else:
                     stack += (after, right, between)
                 out.append(before)
