@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import enum
 import re
-import string
 import unicodedata
 from dataclasses import dataclass
 from operator import length_hint
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 from .core import (
     CONJUNCTION,
@@ -210,7 +209,7 @@ _Entry = tuple[int, int, int, object]
 
 _END = ""  # the lexeme put after the last: it closes the bottom of the stack
 _BOTTOM: _Entry = (_OPEN, 0, 0, _END)
-_NAME_START = frozenset(string.ascii_letters)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _LEXERS: dict[Notation, tuple[re.Pattern, dict[str, _Entry]]] = {}
 
 
@@ -498,32 +497,29 @@ _BINARY_SYMBOL_FIELD = {
 }
 
 
-class _Layout(NamedTuple):
+class _Layout:
     """A pair's literal strings around a node's operands (see `_frame`)."""
 
-    binaries: dict[str, tuple[tuple[str, str, str], ...]]
-    negations: tuple[tuple[str, str], tuple[str, str]]
-    macron: bool
-    constants: dict[TruthValue, str]
+    __slots__ = ("binaries", "negations", "macron", "constants")
+
+    def __init__(self, syms: _RenderSymbols) -> None:
+        # Each binary's frames by 2 * (left bracketed) + (right bracketed).
+        self.binaries: dict[str, tuple[tuple[str, str, str], ...]] = {}
+        for name, field in _BINARY_SYMBOL_FIELD.items():
+            if getattr(syms, field) is not None:
+                middle = f" {getattr(syms, field)} "
+                self.binaries[name] = (("", middle, ""), ("", middle + "(", ")"),
+                                       ("(", ")" + middle, ""), ("(", ")" + middle + "(", ")"))
+        # A negation's frames by whether its operand is bracketed.
+        if syms.neg_postfix is not None:
+            self.negations = (("", syms.neg_postfix), ("(", ")" + syms.neg_postfix))
+        else:
+            self.negations = ((syms.neg_prefix, ""), (syms.neg_prefix + "(", ")"))
+        self.macron = syms.macron
+        self.constants = {TruthValue.T: syms.const_t, TruthValue.F: syms.const_f}
 
 
-def _layout(syms: _RenderSymbols) -> _Layout:
-    binaries = {}
-    for name, field in _BINARY_SYMBOL_FIELD.items():
-        if getattr(syms, field) is not None:
-            middle = f" {getattr(syms, field)} "
-            # by 2 * (left bracketed) + (right bracketed)
-            binaries[name] = (("", middle, ""), ("", middle + "(", ")"),
-                              ("(", ")" + middle, ""), ("(", ")" + middle + "(", ")"))
-    if syms.neg_postfix is not None:
-        negations = (("", syms.neg_postfix), ("(", ")" + syms.neg_postfix))
-    else:
-        negations = ((syms.neg_prefix, ""), (syms.neg_prefix + "(", ")"))
-    constants = {TruthValue.T: syms.const_t, TruthValue.F: syms.const_f}
-    return _Layout(binaries, negations, syms.macron, constants)
-
-
-_LAYOUTS = {key: _layout(syms) for key, syms in _RENDER.items()}
+_LAYOUTS = {key: _Layout(syms) for key, syms in _RENDER.items()}
 
 
 def _bracketed(node: Formula) -> bool:
