@@ -15,15 +15,19 @@ Output is deterministic: the same argv and input produce identical bytes.
 `--format json` emits one schema-stable JSON document per invocation,
 written by `main` once every handler has finished its work.
 
-A command loads only what it uses: this module imports `core` and
-`notation`, each handler imports what it calls from the other submodules
-in its first line, and `main` imports `json` only for `--format json`.
+The commands are one table: each handler declares its leaf's path, help
+and arguments with `_leaf`, and `_parser` builds the argparse tree from the
+table once per process.  A command loads only what it uses: this module
+imports `core` and `notation`, each handler imports what it calls from the
+other submodules in its first line, and `main` imports `json` only for
+`--format json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from typing import Callable, NamedTuple, Sequence
 
@@ -72,7 +76,40 @@ class Output(NamedTuple):
     code: int = EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# ---------------------------------------------------------------------------
+# the command table, filled by `_leaf` in help order
+
+_LEAVES: list[tuple[str, str, tuple, Callable]] = []
+_GROUPS = {
+    "triadic": "three-valued operations",
+    "connectives": "the sixteen binary connectives",
+    "syllogism": "the categorical A/E/I/O scheme",
+}
+
+
+def _arg(*names: str, **keywords) -> tuple:
+    """One argument of a leaf, as `add_argument` takes it."""
+    return names, keywords
+
+
+_FORMULA = (
+    _arg("formula", nargs="?", help="formula text, or - to read stdin; "
+                                    "put a formula that starts with - after --"),
+    _arg("--file", help="read the formula from a file"),
+)
+
+
+def _leaf(path: str, help: str, *arguments: tuple) -> Callable:
+    """Declare the decorated handler as the leaf command at `path`."""
+    def declare(handler: Callable) -> Callable:
+        _LEAVES.append((path, help, arguments, handler))
+        return handler
+    return declare
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command tree, built from the table on first use."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--notation", choices=_NOTATION_NAMES, default="modern")
     common.add_argument("--encoding", choices=["unicode", "ascii"], default=None,
@@ -85,104 +122,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Propositional logic over Peirce-era notations.",
     )
     top.add_argument("--version", action="version", version=f"illation {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def leaf(group, path: str, handler, help: str) -> argparse.ArgumentParser:
-        p = group.add_parser(path.rpartition(" ")[2], parents=[common], help=help)
+    groups = {"": top.add_subparsers(dest="command", required=True)}
+    for path, help, arguments, handler in _LEAVES:
+        group, _, name = path.rpartition(" ")
+        if group not in groups:
+            parent = groups[""].add_parser(group, help=_GROUPS[group])
+            groups[group] = parent.add_subparsers(dest="subcommand", required=True)
+        leaf = groups[group].add_parser(name, parents=[common], help=help)
         # Errors found after parsing name the leaf's own usage and options.
-        p.set_defaults(handler=handler, path=path, parser=p)
-        return p
-
-    def formula_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("formula", nargs="?",
-                       help="formula text, or - to read stdin; "
-                            "put a formula that starts with - after --")
-        p.add_argument("--file", help="read the formula from a file")
-
-    formula_arg(leaf(sub, "parse", _cmd_parse,
-                     "parse a formula and echo its canonical form"))
-
-    p = leaf(sub, "translate", _cmd_translate,
-             "re-render a formula in another notation")
-    p.add_argument("--from", dest="source", choices=_NOTATION_NAMES, required=True)
-    p.add_argument("--to", dest="target", choices=_NOTATION_NAMES, required=True)
-    formula_arg(p)
-
-    p = leaf(sub, "table", _cmd_table, "full truth table")
-    p.add_argument("--row-order", choices=["t-first", "f-first"],
-                   default="t-first")
-    formula_arg(p)
-
-    p = leaf(sub, "matrix", _cmd_matrix,
-             "two-by-two matrix of a binary connective")
-    p.add_argument("connective", help="canonical name or column number 1..16")
-
-    p = leaf(sub, "check", _cmd_check,
-             "classify as tautology / contradiction / contingent")
-    p.add_argument("--status", action="store_true",
-                   help="exit 1 when the formula is not a tautology")
-    formula_arg(p)
-
-    p = leaf(sub, "entails", _cmd_entails,
-             "test whether premises entail a conclusion")
-    p.add_argument("-p", "--premise", action="append", default=[],
-                   dest="premises", metavar="FORMULA")
-    p.add_argument("conclusion")
-
-    formula_arg(leaf(sub, "indirect", _cmd_indirect,
-                     "abbreviated truth table with trace"))
-
-    triadic = sub.add_parser("triadic", help="three-valued operations")
-    tsub = triadic.add_subparsers(dest="subcommand", required=True)
-    leaf(tsub, "triadic tables", _cmd_triadic_tables,
-         "print the three 1909 matrices")
-    p = leaf(tsub, "triadic eval", _cmd_triadic_eval,
-             "evaluate under a V/L/F assignment")
-    formula_arg(p)
-    p.add_argument("--assign", action="append", default=[], metavar="NAME=VALUE")
-    formula_arg(leaf(tsub, "triadic table", _cmd_triadic_table,
-                     "full three-valued table"))
-    leaf(tsub, "triadic check-restriction", _cmd_triadic_check_restriction,
-         "compare the matrices restricted to {V,F} with the two-valued "
-         "connectives")
-
-    conn = sub.add_parser("connectives", help="the sixteen binary connectives")
-    csub = conn.add_subparsers(dest="subcommand", required=True)
-    leaf(csub, "connectives catalog", _cmd_connectives_catalog,
-         "canonical catalog with columns, vectors and frames")
-    leaf(csub, "connectives paper-table", _cmd_connectives_paper_table,
-         "the 1902 sixteen-column grid exactly as printed")
-    p = leaf(csub, "connectives identify", _cmd_connectives_identify,
-             "name the connective with a given value vector")
-    p.add_argument("values",
-                   help="four values on (t,t) (t,f) (f,t) (f,f), e.g. v,f,f,v")
-    p = leaf(csub, "connectives xframe", _cmd_connectives_xframe,
-             "X-frame glyph of a connective")
-    p.add_argument("connective")
-    p = leaf(csub, "connectives enumerate", _cmd_connectives_enumerate,
-             "enumerate tautologies by substitution")
-    p.add_argument("--vars", type=int, default=3, dest="max_variables")
-    p.add_argument("--slots", type=int, default=3, dest="max_slots")
-    p.add_argument("--shape", choices=["right-combs", "all-trees"],
-                   default="right-combs")
-    p.add_argument("--limit", type=int, default=20, dest="emit_limit",
-                   help="print at most this many tautologies")
-    p.add_argument("--count-only", action="store_true")
-
-    syl = sub.add_parser("syllogism", help="the categorical A/E/I/O scheme")
-    ssub = syl.add_subparsers(dest="subcommand", required=True)
-    p = leaf(ssub, "syllogism render", _cmd_syllogism_render,
-             "render one categorical form")
-    p.add_argument("figure", choices=["A", "E", "I", "O"])
-    p.add_argument("subject")
-    p.add_argument("predicate")
-    p = leaf(ssub, "syllogism barbara", _cmd_syllogism_barbara,
-             "both Barbara formulas and their verdicts")
-    p.add_argument("terms", nargs="*", default=[], metavar="TERM",
-                   help="up to three term names (default x y z)")
-    leaf(ssub, "syllogism aeio-table", _cmd_syllogism_aeio_table,
-         "the four categorical forms with glosses")
-
+        leaf.set_defaults(handler=handler, path=path, parser=leaf)
+        for names, keywords in arguments:
+            leaf.add_argument(*names, **keywords)
     return top
 
 
@@ -197,7 +147,7 @@ def _config(args: argparse.Namespace) -> SyntaxConfig:
     return SyntaxConfig(Notation(args.notation), encoding)
 
 
-def _read_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
+def _read_formula(args: argparse.Namespace) -> str:
     if args.file is not None:
         source = args.file
         try:
@@ -206,7 +156,7 @@ def _read_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         except OSError as exc:
             raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from None
     elif args.formula is None:
-        parser.error("a formula argument or --file is required")
+        args.parser.error("a formula argument or --file is required")
     elif args.formula == "-":
         source, data = "<stdin>", sys.stdin.buffer.read()
     else:
@@ -217,6 +167,12 @@ def _read_formula(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         raise ValueError(
             f"cannot read {source}: not valid UTF-8 at byte {exc.start}"
         ) from None
+
+
+def _parsed(args: argparse.Namespace) -> tuple[Formula, SyntaxConfig]:
+    """The leaf's formula, read and parsed, and its syntax."""
+    config = _config(args)
+    return parse(_read_formula(args), config), config
 
 
 def _render_bounded(formula: Formula, config: SyntaxConfig) -> str:
@@ -294,9 +250,9 @@ def _parse_values(text: str) -> tuple[TruthValue, ...]:
 # ---------------------------------------------------------------------------
 # command handlers: each does the work and returns an Output; none prints.
 
-def _cmd_parse(args, parser) -> Output:
-    config = _config(args)
-    formula = parse(_read_formula(args, parser), config)
+@_leaf("parse", "parse a formula and echo its canonical form", *_FORMULA)
+def _cmd_parse(args) -> Output:
+    formula, config = _parsed(args)
     rendering = _render_bounded(formula, config)
     return Output(lambda: {
         "notation": config.notation.value,
@@ -307,10 +263,14 @@ def _cmd_parse(args, parser) -> Output:
     }, lambda: rendering)
 
 
-def _cmd_translate(args, parser) -> Output:
+@_leaf("translate", "re-render a formula in another notation",
+       _arg("--from", dest="source", choices=_NOTATION_NAMES, required=True),
+       _arg("--to", dest="target", choices=_NOTATION_NAMES, required=True),
+       *_FORMULA)
+def _cmd_translate(args) -> Output:
     source = SyntaxConfig(Notation(args.source), "unicode")
     target = SyntaxConfig(Notation(args.target), _config(args).encoding)
-    text = _read_formula(args, parser)
+    text = _read_formula(args)
     output = _render_bounded(parse(text, source), target)
     return Output(lambda: {
         "from": source.notation.value,
@@ -330,10 +290,12 @@ def _check_table_size(formula: Formula, names: list[str], rows: int,
     _check_size(table_size(names, rows, rendered_sizes(formula, config)[formula]))
 
 
-def _cmd_table(args, parser) -> Output:
+@_leaf("table", "full truth table",
+       _arg("--row-order", choices=["t-first", "f-first"], default="t-first"),
+       *_FORMULA)
+def _cmd_table(args) -> Output:
     from .bivalent import DEFAULT_VARIABLE_LIMIT, format_truth_table, truth_table
-    config = _config(args)
-    formula = parse(_read_formula(args, parser), config)
+    formula, config = _parsed(args)
     names = variables_of(formula)
     if len(names) <= DEFAULT_VARIABLE_LIMIT:  # past it, truth_table raises the limit error
         _check_table_size(formula, names, 2 ** len(names), config)
@@ -350,7 +312,9 @@ def _cmd_table(args, parser) -> Output:
     }, lambda: format_truth_table(table, rendering, value_symbols(config.notation)))
 
 
-def _cmd_matrix(args, parser) -> Output:
+@_leaf("matrix", "two-by-two matrix of a binary connective",
+       _arg("connective", help="canonical name or column number 1..16"))
+def _cmd_matrix(args) -> Output:
     from .bivalent import format_matrix, matrix_table
     conn = _resolve_connective(args.connective)
     matrix = matrix_table(conn)
@@ -362,10 +326,13 @@ def _cmd_matrix(args, parser) -> Output:
     }, lambda: format_matrix(matrix))
 
 
-def _cmd_check(args, parser) -> Output:
+@_leaf("check", "classify as tautology / contradiction / contingent",
+       _arg("--status", action="store_true",
+            help="exit 1 when the formula is not a tautology"),
+       *_FORMULA)
+def _cmd_check(args) -> Output:
     from .bivalent import classify
-    config = _config(args)
-    formula = parse(_read_formula(args, parser), config)
+    formula, config = _parsed(args)
     verdict = classify(formula)
 
     def text() -> str:
@@ -386,7 +353,11 @@ def _cmd_check(args, parser) -> Output:
     }, text, EXIT_FAILED_CHECK if failed else EXIT_OK)
 
 
-def _cmd_entails(args, parser) -> Output:
+@_leaf("entails", "test whether premises entail a conclusion",
+       _arg("-p", "--premise", action="append", default=[], dest="premises",
+            metavar="FORMULA"),
+       _arg("conclusion"))
+def _cmd_entails(args) -> Output:
     from .bivalent import entails
     config = _config(args)
     premises = [parse(text, config) for text in args.premises]
@@ -407,10 +378,10 @@ def _cmd_entails(args, parser) -> Output:
     }, text)
 
 
-def _cmd_indirect(args, parser) -> Output:
+@_leaf("indirect", "abbreviated truth table with trace", *_FORMULA)
+def _cmd_indirect(args) -> Output:
     from .indirect import indirect_check, render_trace, trace_size
-    config = _config(args)
-    formula = parse(_read_formula(args, parser), config)
+    formula, config = _parsed(args)
     result = indirect_check(formula)
     lines = ["outcome: " + result.outcome]
     if result.countermodel is not None:
@@ -444,7 +415,8 @@ def _cmd_indirect(args, parser) -> Output:
 _TRIADIC_WORDS = {"v": TriadicValue.V, "l": TriadicValue.L, "f": TriadicValue.F}
 
 
-def _cmd_triadic_tables(args, parser) -> Output:
+@_leaf("triadic tables", "print the three 1909 matrices")
+def _cmd_triadic_tables(args) -> Output:
     from .trivalent import TABLES, format_tables
     return Output(lambda: {
         "values": [v.value for v in TABLES.negation],
@@ -454,7 +426,47 @@ def _cmd_triadic_tables(args, parser) -> Output:
     }, lambda: format_tables(_config(args).encoding))
 
 
-def _cmd_triadic_check_restriction(args, parser) -> Output:
+@_leaf("triadic eval", "evaluate under a V/L/F assignment",
+       *_FORMULA, _arg("--assign", action="append", default=[], metavar="NAME=VALUE"))
+def _cmd_triadic_eval(args) -> Output:
+    from .trivalent import evaluate3
+    formula = _parsed(args)[0]
+    assignment: dict[str, TriadicValue] = {}
+    for item in args.assign:
+        name, _, word = item.partition("=")
+        if word.lower() not in _TRIADIC_WORDS:
+            args.parser.error(f"--assign values are V, L or F; got {item!r}")
+        assignment[name] = _TRIADIC_WORDS[word.lower()]
+    value = evaluate3(formula, assignment)
+    return Output(lambda: {
+        "value": value.value,
+        "assignment": _assignment_json(assignment),
+    }, lambda: value.value)
+
+
+@_leaf("triadic table", "full three-valued table", *_FORMULA)
+def _cmd_triadic_table(args) -> Output:
+    from .bivalent import format_truth_table
+    from .trivalent import is_tautology3, truth_table3
+    formula, config = _parsed(args)
+    is_tautology3(formula)  # raises what truth_table3 would, before a row is built
+    names = variables_of(formula)
+    _check_table_size(formula, names, 3 ** len(names), config)
+    table = truth_table3(formula)
+    rendering = render(formula, config)
+    return Output(lambda: {
+        "rendering": rendering,
+        "variables": list(table.variables),
+        "rows": [
+            {"assignment": _assignment_json(a), "value": value.value}
+            for a, value in table.rows
+        ],
+    }, lambda: format_truth_table(table, rendering))
+
+
+@_leaf("triadic check-restriction",
+       "compare the matrices restricted to {V,F} with the two-valued connectives")
+def _cmd_triadic_check_restriction(args) -> Output:
     from .trivalent import restriction_check
     report = restriction_check()
 
@@ -479,43 +491,8 @@ def _cmd_triadic_check_restriction(args, parser) -> Output:
     }, text)
 
 
-def _cmd_triadic_eval(args, parser) -> Output:
-    from .trivalent import evaluate3
-    formula = parse(_read_formula(args, parser), _config(args))
-    assignment: dict[str, TriadicValue] = {}
-    for item in args.assign:
-        name, _, word = item.partition("=")
-        if word.lower() not in _TRIADIC_WORDS:
-            parser.error(f"--assign values are V, L or F; got {item!r}")
-        assignment[name] = _TRIADIC_WORDS[word.lower()]
-    value = evaluate3(formula, assignment)
-    return Output(lambda: {
-        "value": value.value,
-        "assignment": _assignment_json(assignment),
-    }, lambda: value.value)
-
-
-def _cmd_triadic_table(args, parser) -> Output:
-    from .bivalent import format_truth_table
-    from .trivalent import is_tautology3, truth_table3
-    config = _config(args)
-    formula = parse(_read_formula(args, parser), config)
-    is_tautology3(formula)  # raises what truth_table3 would, before a row is built
-    names = variables_of(formula)
-    _check_table_size(formula, names, 3 ** len(names), config)
-    table = truth_table3(formula)
-    rendering = render(formula, config)
-    return Output(lambda: {
-        "rendering": rendering,
-        "variables": list(table.variables),
-        "rows": [
-            {"assignment": _assignment_json(a), "value": value.value}
-            for a, value in table.rows
-        ],
-    }, lambda: format_truth_table(table, rendering))
-
-
-def _cmd_connectives_catalog(args, parser) -> Output:
+@_leaf("connectives catalog", "canonical catalog with columns, vectors and frames")
+def _cmd_connectives_catalog(args) -> Output:
     from .atlas import xframe_of
     def line(c: Connective) -> str:
         vector = " ".join(v.value for v in c.vector)
@@ -536,7 +513,8 @@ def _cmd_connectives_catalog(args, parser) -> Output:
     }, lambda: "\n".join(line(c) for c in CONNECTIVES))
 
 
-def _cmd_connectives_paper_table(args, parser) -> Output:
+@_leaf("connectives paper-table", "the 1902 sixteen-column grid exactly as printed")
+def _cmd_connectives_paper_table(args) -> Output:
     from .atlas import format_paper_table, paper_table
     table = paper_table()
     return Output(lambda: {
@@ -548,12 +526,14 @@ def _cmd_connectives_paper_table(args, parser) -> Output:
     }, lambda: format_paper_table(table))
 
 
-def _cmd_connectives_identify(args, parser) -> Output:
+@_leaf("connectives identify", "name the connective with a given value vector",
+       _arg("values", help="four values on (t,t) (t,f) (f,t) (f,f), e.g. v,f,f,v"))
+def _cmd_connectives_identify(args) -> Output:
     from .atlas import identify
     try:
         values = _parse_values(args.values)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     conn = identify(values)
     return Output(lambda: {
         "name": conn.name,
@@ -562,7 +542,8 @@ def _cmd_connectives_identify(args, parser) -> Output:
     }, lambda: f"{conn.name} (column {conn.column})")
 
 
-def _cmd_connectives_xframe(args, parser) -> Output:
+@_leaf("connectives xframe", "X-frame glyph of a connective", _arg("connective"))
+def _cmd_connectives_xframe(args) -> Output:
     from .atlas import render_xframe, xframe_of
     conn = _resolve_connective(args.connective)
     frame = xframe_of(conn)
@@ -591,7 +572,14 @@ def _longest_renderings(max_slots: int, config: SyntaxConfig) -> list[int]:
     return bounds
 
 
-def _cmd_connectives_enumerate(args, parser) -> Output:
+@_leaf("connectives enumerate", "enumerate tautologies by substitution",
+       _arg("--vars", type=int, default=3, dest="max_variables"),
+       _arg("--slots", type=int, default=3, dest="max_slots"),
+       _arg("--shape", choices=["right-combs", "all-trees"], default="right-combs"),
+       _arg("--limit", type=int, default=20, dest="emit_limit",
+            help="print at most this many tautologies"),
+       _arg("--count-only", action="store_true"))
+def _cmd_connectives_enumerate(args) -> Output:
     from .atlas import EnumerationSpec, emit_tautologies, enumerate_tautologies
     spec = EnumerationSpec(
         max_variables=args.max_variables,
@@ -646,7 +634,9 @@ def _cmd_connectives_enumerate(args, parser) -> Output:
                           *summary]))
 
 
-def _cmd_syllogism_render(args, parser) -> Output:
+@_leaf("syllogism render", "render one categorical form",
+       _arg("figure", choices=["A", "E", "I", "O"]), _arg("subject"), _arg("predicate"))
+def _cmd_syllogism_render(args) -> Output:
     from .syllogistic import GLOSSES, CategoricalForm, render_categorical
     form = CategoricalForm(args.figure, args.subject, args.predicate)
     text = render_categorical(form, _config(args))
@@ -658,12 +648,15 @@ def _cmd_syllogism_render(args, parser) -> Output:
     }, lambda: text)
 
 
-def _cmd_syllogism_barbara(args, parser) -> Output:
+@_leaf("syllogism barbara", "both Barbara formulas and their verdicts",
+       _arg("terms", nargs="*", default=[], metavar="TERM",
+            help="up to three term names (default x y z)"))
+def _cmd_syllogism_barbara(args) -> Output:
     from .syllogistic import barbara
     config = _config(args)
     terms = list(args.terms) or ["x", "y", "z"]
     if len(terms) != 3:
-        parser.error("barbara takes exactly three term names (or none)")
+        args.parser.error("barbara takes exactly three term names (or none)")
     forms = barbara(*terms)
     nested, conjunctive = render(forms.nested, config), render(forms.conjunctive, config)
     return Output(lambda: {
@@ -675,7 +668,8 @@ def _cmd_syllogism_barbara(args, parser) -> Output:
                 f"conjunctive: {conjunctive}  [{forms.conjunctive_verdict.kind}]"))
 
 
-def _cmd_syllogism_aeio_table(args, parser) -> Output:
+@_leaf("syllogism aeio-table", "the four categorical forms with glosses")
+def _cmd_syllogism_aeio_table(args) -> Output:
     from .syllogistic import GLOSSES, CategoricalForm, render_categorical
     config = _config(args)
     rows = [(figure, render_categorical(CategoricalForm(figure, "a", "b"), config),
@@ -697,8 +691,7 @@ def _cmd_syllogism_aeio_table(args, parser) -> Output:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args, unknown = parser.parse_known_args(argv)
+    args, unknown = _parser().parse_known_args(argv)
     if unknown:
         message = "unrecognized arguments: " + " ".join(unknown)
         if any(arg.startswith("-") for arg in unknown):
@@ -706,7 +699,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         "as in: illation parse -- -a")
         args.parser.error(message)
     try:
-        output = args.handler(args, args.parser)
+        output = args.handler(args)
         if args.format_ == "json":
             import json
             document = json.dumps(
