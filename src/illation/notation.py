@@ -260,9 +260,7 @@ def parse(text: str, config: SyntaxConfig = SyntaxConfig()) -> Formula:
     One operator-precedence pass over the lexemes, with an operand stack and
     an operator stack of table entries.  Postfix marks apply at once to the
     operand just read, so they bind tighter than a pending prefix negation.
-    Within one parse, equal subformulas are one node: one `Variable` per
-    name, one `Negation` per operand node and one `Binary` per connective
-    and pair of operand nodes.
+    Each name read is one `Variable` node however often it occurs.
     """
     normalized = unicodedata.normalize("NFD", text)
     pattern, table = _lexer(config.notation)
@@ -273,7 +271,6 @@ def parse(text: str, config: SyntaxConfig = SyntaxConfig()) -> Formula:
     operands: list[Formula] = []
     operators: list[_Entry] = [_BOTTOM]
     known = dict(table)  # and each name read, as an operand entry
-    shared: dict = {}  # id(operand), or (column, id(left), id(right)) -> node
     expect_operand = True
     remaining = iter(lexemes)
     for lexeme in remaining:
@@ -292,27 +289,16 @@ def parse(text: str, config: SyntaxConfig = SyntaxConfig()) -> Formula:
             else:
                 break
         elif role == _POSTFIX:
-            operand = operands[-1]
-            node = shared.get(id(operand))
-            if node is None:
-                node = shared[id(operand)] = Negation(operand)
-            operands[-1] = node
+            operands[-1] = Negation(operands[-1])
         elif role >= _BINARY:
             reach = entry[2]
             while operators[-1][1] > reach:
                 _, _, _, conn = operators.pop()
                 right = operands.pop()
                 if conn is None:  # a prefix negation
-                    node = shared.get(id(right))
-                    if node is None:
-                        node = shared[id(right)] = Negation(right)
+                    operands.append(Negation(right))
                 else:
-                    left = operands.pop()
-                    key = (conn.column, id(left), id(right))
-                    node = shared.get(key)
-                    if node is None:
-                        node = shared[key] = Binary(conn, left, right)
-                operands.append(node)
+                    operands.append(Binary(conn, operands.pop(), right))
             if role == _BINARY:
                 operators.append(entry)
                 expect_operand = True

@@ -124,20 +124,8 @@ class TestParsingBasics:
 
 
 class TestSharedNodes:
-    """Within one parse, equal subformulas are one node object."""
-
-    def test_equal_binaries_are_one_node(self):
-        formula = parse("((a | b) -> c) <-> ((a | b) -> c)")
-        assert formula.left is formula.right
-        shared = parse("(a | b) & !(a | b)")
-        assert shared.left is shared.right.operand
-
-    def test_equal_negations_are_one_node(self):
-        formula = parse("!!a & !!a")
-        assert formula.left is formula.right
-        assert formula.left.operand is formula.right.operand
-        postfix = parse("a'' · a''", cfg("schroeder"))
-        assert postfix.left is postfix.right
+    """Each name is one `Variable` node within a parse, and equal texts parse
+    to equal trees."""
 
     def test_one_variable_node_per_name(self):
         formula = parse("a -> (b -> a)")
