@@ -36,7 +36,7 @@ from .core import (CONNECTIVES, Binary, Connective, Constant, EnumerationBoundEr
                    Formula, MissingVariableError, Negation, TriadicValue, TruthValue,
                    UnsupportedConnectiveError, Variable, VariableLimitError, connective,
                    fold, variables_of)
-from .notation import (Notation, ParseError, SyntaxConfig, display_width,
+from .notation import (RESERVED_WORDS, Notation, ParseError, SyntaxConfig, display_width,
                        pad_display, parse, render, rendered_sizes, value_symbols)
 
 EXIT_OK = 0
@@ -223,7 +223,15 @@ def _format_assignment(assignment: dict[str, TruthValue],
 
 
 def _resolve_connective(text: str) -> Connective:
-    return connective(int(text) if text.isdigit() else text)
+    return connective(int(text) if text.isascii() and text.isdigit() else text)
+
+
+def _check_terms(args: argparse.Namespace, *terms: str) -> None:
+    """Refuse a term the notation reads as a constant: its rendering would
+    parse back with the constant in the term's place."""
+    for term in terms:
+        if term in RESERVED_WORDS[Notation(args.notation)]:
+            raise ValueError(f"term {term!r} is a constant of the {args.notation} notation")
 
 
 _VALUE_WORDS = {
@@ -639,6 +647,7 @@ def _cmd_connectives_enumerate(args) -> Output:
 def _cmd_syllogism_render(args) -> Output:
     from .syllogistic import GLOSSES, CategoricalForm, render_categorical
     form = CategoricalForm(args.figure, args.subject, args.predicate)
+    _check_terms(args, form.subject, form.predicate)
     text = render_categorical(form, _config(args))
     return Output(lambda: {
         "figure": form.figure,
@@ -657,6 +666,7 @@ def _cmd_syllogism_barbara(args) -> Output:
     terms = list(args.terms) or ["x", "y", "z"]
     if len(terms) != 3:
         args.parser.error("barbara takes exactly three term names (or none)")
+    _check_terms(args, *terms)
     forms = barbara(*terms)
     nested, conjunctive = render(forms.nested, config), render(forms.conjunctive, config)
     return Output(lambda: {

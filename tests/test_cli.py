@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from illation import atlas, bivalent, cli, indirect, trivalent
-from illation.core import CONNECTIVES, Binary, Variable, variables_of
+from illation.core import CONNECTIVES, Binary, Negation, Variable, implies, variables_of
 from illation.indirect import indirect_check, render_trace, trace_size
-from illation.notation import Notation, SyntaxConfig, parse, render, rendered_sizes
+from illation.notation import (RESERVED_WORDS, Notation, SyntaxConfig, parse, render,
+                               rendered_sizes)
 
 from helpers import random_formula, run_cli
 
@@ -106,6 +107,12 @@ class TestMatrix:
         code, _, err = run_cli("matrix", "17")
         assert code == 2
         assert "out of range" in err
+
+    @pytest.mark.parametrize("text", ["٣", "²"], ids=["arabic-indic", "superscript"])
+    def test_only_ascii_digits_are_columns(self, text):
+        for command in (["matrix"], ["connectives", "xframe"]):
+            assert run_cli(*command, text) == (
+                2, "", f"error: unknown connective name: {text!r}\n")
 
 
 class TestTable:
@@ -510,6 +517,32 @@ class TestConnectives:
 
 
 class TestSyllogism:
+    @pytest.mark.parametrize("notation", [n.value for n in Notation])
+    def test_constant_words_are_not_terms(self, notation):
+        """A term the notation reads as a constant exits 2 naming it; any
+        other word renders a form that parses back with the word a variable."""
+        config = SyntaxConfig(Notation(notation), "ascii")
+        reserved = RESERVED_WORDS[config.notation]
+        for word in ("v", "f", "T", "F"):
+            for figure, subject, predicate in (("A", word, "b"), ("E", "a", word)):
+                code, out, err = run_cli("syllogism", "render", figure, subject,
+                                         predicate, "--notation", notation,
+                                         "--encoding", "ascii")
+                body = Variable(predicate)
+                if figure == "E":
+                    body = Negation(body)
+                if word in reserved:
+                    assert (code, out) == (2, "")
+                    assert err == (f"error: term {word!r} is a constant of the "
+                                   f"{notation} notation\n")
+                else:
+                    assert (code, err) == (0, "")
+                    assert parse(out, config) == implies(Variable(subject), body)
+            code, out, err = run_cli("syllogism", "barbara", "x", "y", word,
+                                     "--notation", notation)
+            assert code == (2 if word in reserved else 0)
+            assert (word in reserved) == (word in err)
+
     def test_render(self):
         code, out, _ = run_cli("syllogism", "render", "A", "a", "b")
         assert (code, out) == (0, "a -> b\n")
