@@ -877,6 +877,33 @@ class TestErrorsAndPlumbing:
         assert run_cli(*argv) == run_cli(*argv)
 
 
+class TestOneParser:
+    """The parser is built once per process, and keeps nothing from one call
+    to the next: appended options, default lists, and a usage error before a
+    valid call all give what a freshly built parser gives."""
+
+    CALLS = [
+        ["entails", "-p", "x", "-p", "y", "z"],
+        ["entails", "-p", "a", "b"],
+        ["triadic", "eval", "--assign", "x=L", "--assign", "y=V", "x | !y"],
+        ["triadic", "eval", "--assign", "x=F", "x | !y"],
+        ["check", "a", "b"],
+        ["check", "a | !a"],
+        ["syllogism", "barbara", "p", "q", "r"],
+        ["syllogism", "barbara"],
+    ]
+
+    def test_calls_in_one_process_match_fresh_runs(self):
+        fresh = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(*argv))
+        cli._parser.cache_clear()
+        assert [run_cli(*argv) for argv in self.CALLS] == fresh
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 0, 0, 0]
+
+
 # Argument vectors for the fuzz test: a command, options, then a formula.
 _COMMANDS = st.sampled_from([
     ["parse"], ["table"], ["check"], ["check", "--status"], ["indirect"],
