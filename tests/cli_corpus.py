@@ -47,19 +47,14 @@ GROUPS = ("triadic", "connectives", "syllogism")
 PAIRS = (("modern", "ascii"), ("peirce", "unicode"),
          ("schroeder", "ascii"), ("peano-russell", "unicode"))
 TRIADIC = ("conjunction", "disjunction")
-ALL_CONNECTIVES = (
+# Conjunction and disjunction come twice, to be drawn more often; Peirce's
+# and Schroeder's notations expand the last five.
+CONNECTIVE_NAMES = TRIADIC + (
     "implication", "conjunction", "disjunction", "equivalence",
     "exclusive-disjunction", "nand", "nor", "converse-nonimplication",
 )
 
 Case = tuple[list[str], bytes]
-
-
-def _text(rng: random.Random, config: SyntaxConfig, names=TRIADIC + ALL_CONNECTIVES,
-          constants: bool = True) -> str:
-    formula = random_formula(rng, max_depth=3, connective_names=names,
-                             constants=constants)
-    return render(formula, config)
 
 
 def illation_cases(seed: int = 1893) -> list[Case]:
@@ -76,8 +71,9 @@ def illation_cases(seed: int = 1893) -> list[Case]:
             def add(path: str, *argv: str, data: bytes = b"") -> None:
                 cases.append(([*path.split(), *common, *argv], data))
 
-            def formula(names=TRIADIC + ALL_CONNECTIVES, constants=True) -> str:
-                return _text(rng, config, names, constants)
+            def formula(names=CONNECTIVE_NAMES, constants=True) -> str:
+                return render(random_formula(rng, max_depth=3, connective_names=names,
+                                             constants=constants), config)
 
             add("parse", "--", formula())
             add("parse", "-", data=formula().encode() + b"\n")

@@ -2,7 +2,6 @@
 digest A (what illation writes) on every Python, digest B (argparse's help,
 version and usage text) per Python version."""
 
-import re
 import sys
 
 import pytest
@@ -45,6 +44,6 @@ def test_argparse_text_is_pinned():
         pytest.skip(f"no argparse digest taken on Python {version}")
     value, runs = digest(argparse_cases(), exits=True)
     assert {code for _, code, _, _ in runs} == {0, 2}
-    assert all(re.match(r"usage: illation", out + err) or out.startswith("illation ")
+    assert all((out + err).startswith(("usage: illation", "illation "))
                for _, _, out, err in runs)
     assert value == ARGPARSE_DIGESTS[version]
