@@ -23,11 +23,9 @@ def test_illation_output_is_pinned():
     cases = illation_cases()
     seen = set()
     for argv, _ in cases:
-        words = " ".join(argv)
-        leaf = max((p for p in LEAVES if words.startswith(p + " ")), key=len, default=None)
-        if "--notation" in argv:
-            pair = argv[argv.index("--notation") + 1], argv[argv.index("--encoding") + 1]
-            seen.add((leaf, argv[argv.index("--format") + 1], pair))
+        if "--notation" in argv:  # the leaf's path, then the three common options
+            at = argv.index("--notation")
+            seen.add((" ".join(argv[:at]), argv[at + 5], (argv[at + 1], argv[at + 3])))
     assert seen == {(leaf, fmt, pair) for leaf in LEAVES for fmt in ("text", "json")
                     for pair in PAIRS}
     assert any(argv[-1] == "-" for argv, _ in cases)
