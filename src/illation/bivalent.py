@@ -70,7 +70,7 @@ def apply_mask(conn: Connective, left: int, right: int, full: int) -> int:
 def truth_vector(formula: Formula, masks: Mapping[str, int], full: int) -> int:
     """The formula's value on every row at once: bit k is set where row k
     makes it true.  `masks` and `full` come from `variable_masks`.  A
-    repeated subformula is evaluated once."""
+    node object met again is not evaluated again."""
     return _vector(flatten(formula)[0], masks, full)
 
 

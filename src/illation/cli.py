@@ -732,7 +732,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_PARSE
-    print(document)
+    try:
+        print(document, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout.  Point its descriptor at the null device,
+        # so the flush at shutdown cannot fail again and write to stderr (the
+        # "Note on SIGPIPE" in the documentation of `signal`).
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return output.code
 
 

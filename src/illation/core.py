@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Callable, Container, Iterator
+from collections.abc import Callable, Container
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -204,22 +204,23 @@ class Formula:
         return self._hash
 
     def __reduce__(self):
-        # The distinct nodes as a flat post-order list, operands named by
+        # The node objects as a flat post-order list, operands named by
         # their place in it, rebuilt by one loop in `_rebuild`.  Each node
         # goes through __init__ again, so its hash is computed afresh:
         # string hashes differ from process to process.
-        nodes, _ = flatten(self)
-        place = {id(node): i for i, node in enumerate(nodes)}
         plan = []
-        for node in nodes:
+
+        def place(node: Formula, *operands: int) -> int:
             if type(node) is Binary:
-                plan.append((Binary, node.connective,
-                             place[id(node.left)], place[id(node.right)]))
+                plan.append((Binary, node.connective, *operands))
             elif type(node) is Negation:
-                plan.append((Negation, place[id(node.operand)]))
+                plan.append((Negation, *operands))
             else:
                 plan.append((type(node), *(getattr(node, name)
                                            for name in node.__match_args__)))
+            return len(plan) - 1
+
+        fold(self, place)
         return _rebuild, (plan,)
 
     def __eq__(self, other: object) -> bool:
@@ -360,64 +361,18 @@ def equiv(left: Formula, right: Formula) -> Binary:
 _EXIT = object()  # marks where the walk leaves the node below it
 
 
-def _walk(formula: Formula, done: Container[Formula]) -> Iterator[Formula]:
-    """The post-order walk, with an explicit stack: each node after its
-    operands, left first, passing over nodes in `done` and all under them.
-    The caller adds each node it is given to `done` before asking for the
-    next, so a repeated subformula is given once, at its first visit."""
-    stack: list = [formula]  # nodes, each operator above _EXIT and itself
-    while stack:
-        node = stack.pop()
-        if node is _EXIT:  # its operands are done; nothing under it equals it
-            yield stack.pop()
-        elif node in done:
-            continue
-        elif isinstance(node, Binary):
-            stack += (node, _EXIT, node.right, node.left)
-        elif isinstance(node, Negation):
-            stack += (node, _EXIT, node.operand)
-        else:
-            yield node
-
-
-def postorder(formula: Formula) -> Iterator[Formula]:
-    """Each distinct subformula once, after its operands, left operand
-    first; the whole formula comes last.  A repeated subformula is yielded
-    at its first visit and not walked again.  This walk, with `fold` on
-    it, is how the package visits subformulas, so no function recurses
-    once per nesting level."""
-    seen: set[Formula] = set()
-    for node in _walk(formula, seen):
-        seen.add(node)
-        yield node
-
-
-def fold(formula: Formula, combine: Callable[..., T],
-         values: dict[Formula, T] | None = None) -> T:
-    """The formula's value, where `combine(node, *operand_values)` gives each
-    distinct subformula's value from its operands' values, in post-order.
-    Subformulas already in `values` keep their value there, and every new
-    value is added to it."""
-    values = {} if values is None else values
-    for node in _walk(formula, values):
-        if isinstance(node, Binary):
-            values[node] = combine(node, values[node.left], values[node.right])
-        elif isinstance(node, Negation):
-            values[node] = combine(node, values[node.operand])
-        else:
-            values[node] = combine(node)
-    return values[formula]
-
-
-def flatten(formula: Formula) -> tuple[list[Formula], list[str]]:
+def flatten(formula: Formula, known: Container[int] = ()) -> tuple[list[Formula], list[str]]:
     """From one walk: the formula's nodes in post-order (each after its
     operands, left first, the whole formula last) and its variable names in
     first-occurrence order.  Nodes are told apart by identity, so a node
     object met again is not walked again but an equal copy of it is; the
-    evaluators look operands up by `id` and pay no hash per node."""
+    evaluators look operands up by `id` and pay no hash per node.  A node
+    whose `id` is in `known` is passed over, with everything under it.
+    This walk, with `fold` on it, is how the package visits subformulas,
+    so no function recurses once per nesting level."""
     nodes: list[Formula] = []
     names: dict[str, None] = {}
-    entered: set[int] = set()
+    entered: set[int] = set(known)
     stack: list = [formula]  # nodes, each operator above _EXIT and itself
     while stack:
         node = stack.pop()
@@ -437,6 +392,27 @@ def flatten(formula: Formula) -> tuple[list[Formula], list[str]]:
     return nodes, list(names)
 
 
+def fold(formula: Formula, combine: Callable[..., T],
+         values: dict[int, T] | None = None) -> T:
+    """The formula's value, where `combine(node, *operand_values)` gives each
+    node's value from its operands' values, in `flatten`'s post-order: an
+    equal copy of a subformula gets a value of its own.  `values` holds each
+    value by its node's `id`; a node whose `id` is already there keeps that
+    value, and nothing under it is walked.  An `id` names an object only
+    while it lives, so every key must belong to an object kept alive for
+    the whole fold: a node of the formula, or an operand it was built from."""
+    values = {} if values is None else values
+    for node in flatten(formula, values)[0]:
+        kind = type(node)
+        if kind is Binary:
+            values[id(node)] = combine(node, values[id(node.left)], values[id(node.right)])
+        elif kind is Negation:
+            values[id(node)] = combine(node, values[id(node.operand)])
+        else:
+            values[id(node)] = combine(node)
+    return values[id(formula)]
+
+
 def variables_of(formula: Formula) -> list[str]:
     """Variable names in first-occurrence (left-to-right) order, no duplicates."""
     return flatten(formula)[1]
@@ -444,8 +420,24 @@ def variables_of(formula: Formula) -> list[str]:
 
 def subformulas(formula: Formula) -> list[Formula]:
     """Distinct subformulas in post-order: children before parents, the whole
-    formula last.  Repeated subformulas appear once, at their first visit."""
-    return list(postorder(formula))
+    formula last.  Equal subformulas are one, the first met.  A node is told
+    from its kind and its operands' firsts, by `id`, so an equal copy costs
+    one probe and not a walk of its subtree."""
+    # A binary's key is its column and its operands' firsts, a negation's
+    # its operand's first (an int, so no tuple or leaf equals it) and a
+    # leaf's the leaf itself: equal nodes, and only they, share a key.
+    first: dict = {}  # a key -> the first node with it
+    firsts: dict[int, int] = {}  # the id of each node -> that of the first equal to it
+    for node in flatten(formula)[0]:
+        kind = type(node)
+        if kind is Binary:
+            key = (node.connective.column, firsts[id(node.left)], firsts[id(node.right)])
+        elif kind is Negation:
+            key = firsts[id(node.operand)]
+        else:
+            key = node
+        firsts[id(node)] = id(first.setdefault(key, node))
+    return list(first.values())
 
 
 # Errors the evaluators and the enumerator raise.  They live here, beside the

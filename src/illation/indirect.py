@@ -36,7 +36,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
-                   Negation, TruthValue, Variable, fold)
+                   Negation, TruthValue, Variable, subformulas)
 from .notation import (SyntaxConfig, display_width, pad_display, render, rendered_sizes,
                        value_symbols)
 
@@ -155,9 +155,20 @@ _CONSTANT_RULES: tuple[_Table, _Table] = ((((), ()), None), (None, ((), ())))
 _VARIABLE_RULES: _Table = (((), ()), ((), ()))
 
 
-def _in_codes(rule: _Rule, operands: tuple[int, ...]) -> tuple:
-    """The rule over binding codes, its cases de-duplicated over columns (both
-    operands may be one column); () closes the branch."""
+def _in_codes(node: Formula, value: int, place: dict[Formula, int]) -> tuple:
+    """The node's rule at `value` over binding codes, its operands' columns
+    found in `place` and its cases de-duplicated over columns (both operands
+    may be one column); () closes the branch."""
+    table, operands = _VARIABLE_RULES, ()
+    if type(node) is Binary:
+        table = _CONNECTIVE_RULES[node.connective.column]
+        operands = place[node.left], place[node.right]
+    elif type(node) is Negation:
+        table, operands = _NEGATION_RULES, (place[node.operand],)
+    elif type(node) is Constant:
+        table = _CONSTANT_RULES[_VALUES.index(node.value)]
+    rule = table[value]
+
     def coded(bindings: _Bindings) -> tuple[int, ...]:
         return tuple(2 * operands[pos] + bit for pos, bit in bindings)
     if rule is None:
@@ -166,22 +177,8 @@ def _in_codes(rule: _Rule, operands: tuple[int, ...]) -> tuple:
 
 
 def indirect_check(formula: Formula) -> IndirectResult:
-    columns: list[Formula] = []  # distinct subformulas, in post-order
-    nodes: list[tuple[_Table, tuple[int, ...]]] = []  # rule table, operand columns
-
-    def number(node: Formula, *operands: int) -> int:
-        table = _VARIABLE_RULES
-        if isinstance(node, Binary):
-            table = _CONNECTIVE_RULES[node.connective.column]
-        elif isinstance(node, Negation):
-            table = _NEGATION_RULES
-        elif isinstance(node, Constant):
-            table = _CONSTANT_RULES[_VALUES.index(node.value)]
-        columns.append(node)
-        nodes.append((table, operands))
-        return len(nodes) - 1
-
-    fold(formula, number)
+    columns = subformulas(formula)
+    place = {node: j for j, node in enumerate(columns)}
     width = len(columns)
     rules: list = [None] * (2 * width)  # each code's rule in codes, made on first use
     values = [-1] * width  # each column's bit, -1 for a dash
@@ -220,8 +217,7 @@ def indirect_check(formula: Formula) -> IndirectResult:
             mark += 1
             rule = rules[code]
             if rule is None:
-                table, operands = nodes[code >> 1]
-                rule = rules[code] = _in_codes(table[code & 1], operands)
+                rule = rules[code] = _in_codes(columns[code >> 1], code & 1, place)
             base = len(trail)
             if not rule or not bind(rule[0]):
                 record(_CLOSED, base)
@@ -286,13 +282,14 @@ def trace_size(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> i
     """len(render_trace(trace, config)), found without building the text,
     from each column's rendered length and width and the steps' notes."""
     root = trace.columns[-1]
-    lengths = rendered_sizes(root, config)
-    widths = rendered_sizes(root, config, display_width)
+    # Each column's rendered length and width, in column order.
+    lengths = rendered_sizes(root, config).values()
+    widths = rendered_sizes(root, config, display_width).values()
     # The header pads each rendering to its width (at least 1) and ends in
     # "  | note"; a step's line is a line break, a cell of width + 2 per
     # column, "| " and the note.
-    cells = sum(max(widths[c], 1) + 2 for c in trace.columns)
-    header = cells + sum(lengths[c] - widths[c] for c in trace.columns) + len("| note")
+    cells = sum(max(width, 1) + 2 for width in widths)
+    header = cells + sum(lengths) - sum(widths) + len("| note")
     notes = trace.steps.notes
     return header + len(notes) * (1 + cells + len("| ")) + sum(
         len(note) * notes.count(code) for code, note in enumerate(_NOTES))

@@ -68,6 +68,7 @@ from .core import (
     conj,
     disj,
     fold,
+    subformulas,
 )
 
 T = TypeVar("T")
@@ -402,23 +403,20 @@ _NEGATED_EXPANSIONS = frozenset(
 )
 
 
-def _fold_expanded(formula: Formula, notation: Notation,
-                   combine: Callable[..., T]) -> dict[Formula, T]:
-    """`fold` over the formula as expanded for `notation`: each distinct
-    subformula's value, in post-order, where a connective the notation
-    lacks takes the value of its expansion over the operands' values."""
+def _expanded(combine: Callable[..., T], notation: Notation) -> Callable[..., T]:
+    """`combine` over the formula as expanded for `notation`, to `fold` with:
+    a connective the notation lacks takes the value of its expansion, folded
+    over the operands' values.  The expansion is built from the operand
+    objects themselves, so their `id`s stay keys for the fold under it."""
     primitives = PRIMITIVE_CONNECTIVES[notation]
 
     def value(node: Formula, *operands: T) -> T:
-        if isinstance(node, Binary) and node.connective.name not in primitives:
-            expansion = EXPANSIONS[node.connective.name](node.left, node.right)
-            known = {node.left: operands[0], node.right: operands[1]}
-            return fold(expansion, combine, known)
+        if type(node) is Binary and node.connective.name not in primitives:
+            return fold(EXPANSIONS[node.connective.name](node.left, node.right), combine,
+                        {id(node.left): operands[0], id(node.right): operands[1]})
         return combine(node, *operands)
 
-    values: dict[Formula, T] = {}
-    fold(formula, value, values)
-    return values
+    return value
 
 
 def _lowered(node: Formula, *operands: Formula) -> Formula:
@@ -435,7 +433,7 @@ def _lowered(node: Formula, *operands: Formula) -> Formula:
 def expand_for(formula: Formula, notation: Notation) -> Formula:
     """Rewrite connectives the notation cannot print into their expansions;
     a subformula with nothing to expand is kept as it is."""
-    return _fold_expanded(formula, notation, _lowered)[formula]
+    return fold(formula, _expanded(_lowered, notation))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +591,9 @@ def rendered_sizes(
     def size(node: Formula, *operands: int) -> int:
         return sum(map(measure, _frame(node, layout))) + sum(operands)
 
-    return _fold_expanded(formula, config.notation, size)
+    values = {}
+    fold(formula, _expanded(size, config.notation), values)
+    return {node: values[id(node)] for node in subformulas(formula)}
 
 
 def translate(text: str, source: SyntaxConfig, target: SyntaxConfig) -> str:

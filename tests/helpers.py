@@ -133,6 +133,26 @@ def reference_enumeration(
     return result
 
 
+def distinct_subformulas(formula: Formula) -> list[Formula]:
+    """Each subformula once, by equality, after its operands, left operand
+    first: the first equal copy met stands for the rest.  Plain recursion,
+    so only for shallow formulas."""
+    seen: dict[Formula, None] = {}
+
+    def visit(node: Formula) -> None:
+        if node in seen:
+            return
+        if isinstance(node, Binary):
+            visit(node.left)
+            visit(node.right)
+        elif isinstance(node, Negation):
+            visit(node.operand)
+        seen[node] = None
+
+    visit(formula)
+    return list(seen)
+
+
 def to_value(flag: bool) -> TruthValue:
     return TruthValue.T if flag else TruthValue.F
 

@@ -3,14 +3,18 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import illation
 from illation import atlas, bivalent, cli, indirect, trivalent
 from illation.core import CONNECTIVES, Binary, Negation, Variable, implies, variables_of
 from illation.indirect import indirect_check, render_trace, trace_size
@@ -761,6 +765,47 @@ class TestOutputBound:
         assert err == (f"error: the JSON ast would nest {cli.JSON_DEPTH_LIMIT + 1} "
                        f"levels deep, over the limit of {cli.JSON_DEPTH_LIMIT}\n")
         assert run_cli("parse", "!" + deepest)[0] == 0
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(illation.__file__)))
+
+
+def child(argv: list[str], **kwargs) -> subprocess.Popen:
+    """`python -m illation *argv` in a new interpreter, stderr piped."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.Popen([sys.executable, "-m", "illation", *argv], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets no traceback on stderr and
+    the command's own exit code."""
+
+    def test_a_reader_that_stops_after_one_line(self):
+        # 16,384 rows, about 800 KB: far more than a pipe holds.
+        text = " & ".join(f"x{i}" for i in range(14))
+        process = child(["table", text], stdout=subprocess.PIPE)
+        with process:
+            assert process.stdout.readline().startswith(b"x0 x1 ")
+            process.stdout.close()
+            assert process.wait(timeout=60) == 0
+            assert process.stderr.read() == b""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "a -> a"], 0),
+        (["check", "--status", "a & b"], 1),
+    ], ids=["tautology", "failed-status"])
+    def test_a_stdout_closed_before_the_first_write(self, argv, code):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            process = child(argv, stdout=write)
+        finally:
+            os.close(write)
+        with process:
+            assert process.wait(timeout=60) == code
+            assert process.stderr.read() == b""
 
 
 class TestErrorsAndPlumbing:

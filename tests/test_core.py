@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 import subprocess
 import sys
 from itertools import product
@@ -29,12 +30,16 @@ from illation.core import (
     disj,
     equiv,
     flatten,
+    fold,
     implies,
     subformulas,
     variables_of,
 )
 
-from helpers import BOOL_OPS, to_value
+from illation.indirect import indirect_check
+from illation.notation import Notation, SyntaxConfig, parse, render, rendered_sizes
+
+from helpers import BOOL_OPS, distinct_subformulas, random_formula, to_value
 
 T, F = TruthValue.T, TruthValue.F
 
@@ -275,3 +280,77 @@ class TestFlatten:
         assert len(nodes) == 3
         assert names == ["a"]
         assert variables_of(formula) == ["a"]
+
+    def test_known_nodes_are_passed_over_with_all_under_them(self):
+        a, b = Variable("a"), Variable("b")
+        inner = disj(a, b)
+        formula = conj(inner, Negation(b))
+        nodes, names = flatten(formula, {id(inner)})
+        assert [id(node) for node in nodes] == [id(b), id(formula.right), id(formula)]
+        assert names == ["b"]
+
+
+ALL_CONNECTIVES = tuple(c.name for c in CONNECTIVES)
+CONFIGS = [SyntaxConfig(notation, encoding)
+           for notation in Notation for encoding in ("unicode", "ascii")]
+
+
+def with_equal_copies(rng: random.Random) -> list:
+    """Formulas whose equal subformulas are distinct objects: a deep copy of
+    an operand on the other side, and the parse of such a formula's text,
+    where expansions repeat their operands as well."""
+    g = random_formula(rng, 3, connective_names=ALL_CONNECTIVES)
+    h = random_formula(rng, 3, connective_names=ALL_CONNECTIVES)
+    c1, c2, c3 = (connective(rng.choice(ALL_CONNECTIVES)) for _ in range(3))
+    built = [Binary(c1, g, copy.deepcopy(g)),
+             Binary(c1, Negation(Binary(c2, g, h)),
+                    Binary(c3, copy.deepcopy(h), copy.deepcopy(g)))]
+    return built + [parse(render(formula)) for formula in built]
+
+
+class TestOneWalk:
+    """`fold` runs over `flatten` by identity; equality picks the distinct
+    subformulas only where the result is defined by it."""
+
+    FORMULAS = [formula for seed in range(40)
+                for formula in with_equal_copies(random.Random(seed))]
+
+    @staticmethod
+    def ids(nodes) -> list[int]:
+        return [id(node) for node in nodes]
+
+    def test_distinct_subformulas_match_the_recursive_reference(self):
+        for formula in self.FORMULAS:
+            expected = self.ids(distinct_subformulas(formula))
+            assert self.ids(subformulas(formula)) == expected
+            assert self.ids(indirect_check(formula).trace.columns) == expected
+            for config in CONFIGS:
+                assert self.ids(rendered_sizes(formula, config)) == expected
+
+    def test_fold_gives_each_node_object_one_value(self):
+        for formula in self.FORMULAS:
+            called = []
+            values = {}
+            fold(formula, lambda node, *operands: called.append(id(node)), values)
+            assert called == self.ids(flatten(formula)[0])
+            assert set(values) == set(called)
+
+    def test_fold_passes_over_seeded_nodes(self):
+        def size(node, *operands):
+            return 1 + sum(operands)
+
+        rng = random.Random(1884)
+        for _ in range(50):
+            # Built, so no node object is met twice.
+            formula = random_formula(rng, 5, connective_names=ALL_CONNECTIVES)
+            seeded = [node for node in flatten(formula)[0][:-1] if rng.random() < 0.2]
+            under = {id(n) for node in seeded for n in flatten(node)[0]}
+            called = []
+
+            def counted(node, *operands):
+                called.append(id(node))
+                return size(node, *operands)
+
+            values = {id(node): fold(node, size) for node in seeded}
+            assert fold(formula, counted, values) == fold(formula, size)
+            assert sorted(called) == sorted(set(self.ids(flatten(formula)[0])) - under)

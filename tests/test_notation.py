@@ -335,6 +335,16 @@ class TestExpansions:
         formula = implies(conj(A, B), disj(A, B))
         assert expand_for(formula, notation) == formula
 
+    def test_expand_for_keeps_a_formula_with_nothing_to_expand(self):
+        formula = parse("(a & b) | (a & b)")
+        assert formula.left is not formula.right
+        assert expand_for(formula, Notation.MODERN) is formula
+
+    def test_expand_for_expands_each_equal_copy(self):
+        formula = parse("(a <-> b) & (a <-> b)")
+        expansion = EXPANSIONS["equivalence"](A, B)
+        assert expand_for(formula, Notation.PEIRCE) == conj(expansion, expansion)
+
     @pytest.mark.parametrize("conn", CONNECTIVES, ids=lambda c: c.name)
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
     def test_all_sixteen_render_and_reparse_everywhere(self, conn, config):
