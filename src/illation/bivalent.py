@@ -9,9 +9,11 @@ table builders accept a row-order override.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from operator import add, eq
 
 from .core import (
     Binary,
@@ -124,22 +126,81 @@ def _row(names: Sequence[str], bits: int) -> Assignment | None:
     return {name: _F if bit == "1" else _T for name, bit in zip(names, row)}
 
 
+def _check_row_order(row_order: str) -> None:
+    if row_order not in ROW_ORDERS:
+        raise ValueError(f"row_order must be one of {ROW_ORDERS}, got {row_order!r}")
+
+
 def assignments(
     variables: Sequence[str], row_order: str = "t-first"
 ) -> Iterable[Assignment]:
     """All assignments over `variables`, leftmost variable varying slowest."""
-    if row_order not in ROW_ORDERS:
-        raise ValueError(f"row_order must be one of {ROW_ORDERS}, got {row_order!r}")
+    _check_row_order(row_order)
     values = (_F, _T) if row_order == "f-first" else (_T, _F)
     for combo in product(values, repeat=len(variables)):
         yield dict(zip(variables, combo))
 
 
+class Rows(Sequence):
+    """A table's rows, each an (assignment, value) pair in row order, worked
+    out from its row number when it is read.  Every variable takes the
+    values `cells` in turn, the leftmost slowest, so row k's assignment is
+    k's digits in base len(cells); `codes` holds one character per row,
+    and row k's value is outcomes[codes[k]].  `len` is immediate.  Indexing, slicing, iteration, `reversed` and `==`
+    behave as they do on the tuple of the rows."""
+
+    __slots__ = ("variables", "cells", "codes", "outcomes")
+
+    def __init__(self, variables: tuple[str, ...], cells: tuple, codes: str,
+                 outcomes: Mapping[str, object]) -> None:
+        self.variables = variables
+        self.cells = cells
+        self.codes = codes
+        self.outcomes = outcomes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(map(self.__getitem__, range(len(self))[key]))
+        index = k = range(len(self))[key]
+        digits = []
+        for _ in self.variables:
+            k, digit = divmod(k, len(self.cells))
+            digits.append(self.cells[digit])
+        return dict(zip(self.variables, reversed(digits))), self.outcomes[self.codes[index]]
+
+    def __iter__(self) -> Iterator[tuple[dict, object]]:
+        combos = product(self.cells, repeat=len(self.variables))
+        return zip((dict(zip(self.variables, combo)) for combo in combos),
+                   map(self.outcomes.__getitem__, self.codes))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Rows, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass(frozen=True)
 class TruthTable:
+    """A formula's truth table, kept as its truth vector: bit k is set where
+    row k of the t-first order makes the formula true."""
+
     variables: tuple[str, ...]
-    rows: tuple[tuple[Assignment, TruthValue], ...]
+    vector: int
     row_order: str = "t-first"
+
+    @cached_property
+    def rows(self) -> Rows:
+        # Most significant bit first is the f-first order; t-first reverses it.
+        codes = format(self.vector, f"0{1 << len(self.variables)}b")
+        if self.row_order == "t-first":
+            return Rows(self.variables, (_T, _F), codes[::-1], _OUTCOMES)
+        return Rows(self.variables, (_F, _T), codes, _OUTCOMES)
+
+
+_OUTCOMES = {"1": _T, "0": _F}
 
 
 def _check_limit(names: Sequence[str], limit: int) -> None:
@@ -155,16 +216,9 @@ def truth_table(
     """Full truth table; a closed formula yields one empty-assignment row."""
     nodes, names = flatten(formula)
     _check_limit(names, limit)
+    _check_row_order(row_order)
     masks, full = variable_masks(names)
-    # Most significant bit first is the f-first order; t-first reverses it.
-    bits = format(_vector(nodes, masks, full), f"0{1 << len(names)}b")
-    if row_order == "t-first":
-        bits = bits[::-1]
-    rows = tuple(
-        (a, _T if bit == "1" else _F)
-        for a, bit in zip(assignments(names, row_order), bits)
-    )
-    return TruthTable(tuple(names), rows, row_order)
+    return TruthTable(tuple(names), _vector(nodes, masks, full), row_order)
 
 
 @dataclass(frozen=True)
@@ -196,23 +250,43 @@ def format_truth_table(
 ) -> str:
     """Plain-text table: variable columns, a separator bar, the formula value.
     Also prints a triadic table, whose V, L and F ignore `symbols`."""
+    return "".join(table_blocks(table, header, symbols))
+
+
+#: The last variables, whose cells `table_blocks` lays out once as the line
+#: endings every block of rows shares: a block holds 2**8 or 3**8 rows.
+_BLOCK_VARIABLES = 8
+
+
+def table_blocks(
+    table: TruthTable,
+    header: str,
+    symbols: tuple[str, str] = ("t", "f"),
+) -> Iterator[str]:
+    """`format_truth_table`'s text in pieces: the header line, then one block
+    per run of rows that share every cell but the last few variables', each
+    line starting with its line break.  The lines are laid out from the
+    cells and the rows' value codes, with no assignment built."""
+    rows = table.rows
     t_sym, f_sym = symbols
 
     def sym(v) -> str:
         return t_sym if v is _T else f_sym if v is _F else v.value
 
-    widths = [max(len(name), 1) for name in table.variables]
-    head_cells = [name.ljust(w) for name, w in zip(table.variables, widths)]
-    lines = [(" ".join(head_cells) + " | " + header).rstrip() if head_cells
-             else "| " + header]
-    for assignment, value in table.rows:
-        cells = [
-            sym(assignment[name]).ljust(w)
-            for name, w in zip(table.variables, widths)
-        ]
-        prefix = " ".join(cells) + " | " if cells else "| "
-        lines.append(prefix + sym(value))
-    return "\n".join(lines)
+    widths = [max(len(name), 1) for name in rows.variables]
+    head_cells = [name.ljust(w) for name, w in zip(rows.variables, widths)]
+    yield ((" ".join(head_cells) + " | " + header).rstrip() if head_cells
+           else "| " + header)
+    # Each variable's cells in row order, padded, each with the space after it.
+    cells = [[sym(value).ljust(w) + " " for value in rows.cells] for w in widths]
+    split = max(len(cells) - _BLOCK_VARIABLES, 0)
+    tails = ["".join(combo) + "| " for combo in product(*cells[split:])]
+    value_of = {code: sym(value) for code, value in rows.outcomes.items()}
+    starts = range(0, len(rows), len(tails))
+    for start, head in zip(starts, product(*cells[:split])):
+        line = "\n" + "".join(head)
+        values = map(value_of.__getitem__, rows.codes[start:start + len(tails)])
+        yield line + line.join(map(add, tails, values))
 
 
 def table_size(variables: Sequence[str], rows: int, header_size: int) -> int:

@@ -6,10 +6,11 @@ define (e.g. a triadic implication); 4 exceeded size bounds: the variable
 limits, the enumerator's bounds, and the output bounds below.
 
 Formulas of any nesting depth are accepted.  What a command would print is
-bounded instead: its formula renderings, table rows and trace are measured
-before any text is built, and past OUTPUT_LIMIT characters the command
-exits 4 naming the predicted size; `parse --format json` also exits 4 when
-its `ast` would nest deeper than JSON_DEPTH_LIMIT.
+bounded instead: its formula renderings, table rows (as text, or as JSON
+under `--format json`) and trace are measured before any text is built,
+and past OUTPUT_LIMIT characters the command exits 4 naming the predicted
+size; `parse --format json` also exits 4 when its `ast` would nest deeper
+than JSON_DEPTH_LIMIT.
 
 Output is deterministic: the same argv and input produce identical bytes.
 `--format json` emits one schema-stable JSON document per invocation,
@@ -29,7 +30,7 @@ import argparse
 import dataclasses
 import functools
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .core import (CONNECTIVES, Binary, Connective, Constant, EnumerationBoundError,
@@ -37,7 +38,7 @@ from .core import (CONNECTIVES, Binary, Connective, Constant, EnumerationBoundEr
                    UnsupportedConnectiveError, Variable, VariableLimitError, connective,
                    fold, variables_of)
 from .notation import (RESERVED_WORDS, Notation, ParseError, SyntaxConfig, display_width,
-                       pad_display, parse, render, rendered_sizes, value_symbols)
+                       pad_display, parse, render, rendered_size, value_symbols)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -69,11 +70,19 @@ def _check_size(size: int) -> None:
 
 class Output(NamedTuple):
     """A handler's result. Only the form `--format` asks for is built, so a
-    text run never assembles JSON rows and a JSON run never lays out text."""
+    text run never assembles JSON rows and a JSON run never lays out text.
+    `text` gives the text, or its pieces in order, written as they come."""
 
     payload: Callable[[], dict]
-    text: Callable[[], str]
+    text: Callable[[], str | Iterable[str]]
     code: int = EXIT_OK
+
+
+def _json_document(path: str, payload: dict) -> str:
+    """The `--format json` output of the command at `path`."""
+    import json
+    return json.dumps({"schema": 1, "command": path, **payload},
+                      ensure_ascii=False, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +186,7 @@ def _parsed(args: argparse.Namespace) -> tuple[Formula, SyntaxConfig]:
 
 def _render_bounded(formula: Formula, config: SyntaxConfig) -> str:
     """render, after checking the rendering's predicted size."""
-    _check_size(rendered_sizes(formula, config)[formula])
+    _check_size(rendered_size(formula, config))
     return render(formula, config)
 
 
@@ -289,35 +298,46 @@ def _cmd_translate(args) -> Output:
     }, lambda: output)
 
 
-def _check_table_size(formula: Formula, names: list[str], rows: int,
-                      config: SyntaxConfig) -> None:
-    """Check the size of the formula's table text, `rows` rows over the
-    variables `names` under a header of its rendering, before any of the
-    table or its text is built."""
+def _rows_json(rows: Iterable[tuple[dict, TruthValue | TriadicValue]]) -> list[dict]:
+    return [{"assignment": _assignment_json(a), "value": v.value} for a, v in rows]
+
+
+def _check_table_size(args: argparse.Namespace, formula: Formula, config: SyntaxConfig,
+                      rows: int, payload: Callable[[str, list], dict], row: tuple) -> None:
+    """Check the size of the table's output before any of the table or its
+    text is built: `rows` rows over the formula's variables under its
+    rendering.  `payload(rendering, rows)` gives the JSON payload; every
+    row's JSON is as long as the sample `row`'s, since every value is one
+    character, and no rendering holds a character JSON escapes."""
     from .bivalent import table_size
-    _check_size(table_size(names, rows, rendered_sizes(formula, config)[formula]))
+    header = rendered_size(formula, config)
+    if args.format_ == "json":
+        one, two = (len(_json_document(args.path, payload("", [row] * k)))
+                    for k in (1, 2))
+        _check_size(one + (rows - 1) * (two - one) + header)
+    else:
+        _check_size(table_size(variables_of(formula), rows, header))
 
 
 @_leaf("table", "full truth table",
        _arg("--row-order", choices=["t-first", "f-first"], default="t-first"),
        *_FORMULA)
 def _cmd_table(args) -> Output:
-    from .bivalent import DEFAULT_VARIABLE_LIMIT, format_truth_table, truth_table
+    from .bivalent import DEFAULT_VARIABLE_LIMIT, table_blocks, truth_table
     formula, config = _parsed(args)
     names = variables_of(formula)
+
+    def payload(rendering: str, rows: Iterable) -> dict:
+        return {"rendering": rendering, "variables": names,
+                "row_order": args.row_order, "rows": _rows_json(rows)}
+
     if len(names) <= DEFAULT_VARIABLE_LIMIT:  # past it, truth_table raises the limit error
-        _check_table_size(formula, names, 2 ** len(names), config)
+        _check_table_size(args, formula, config, 2 ** len(names), payload,
+                          (dict.fromkeys(names, TruthValue.T), TruthValue.T))
     table = truth_table(formula, row_order=args.row_order)
     rendering = render(formula, config)
-    return Output(lambda: {
-        "rendering": rendering,
-        "variables": list(table.variables),
-        "row_order": table.row_order,
-        "rows": [
-            {"assignment": _assignment_json(a), "value": v.value}
-            for a, v in table.rows
-        ],
-    }, lambda: format_truth_table(table, rendering, value_symbols(config.notation)))
+    return Output(lambda: payload(rendering, table.rows),
+                  lambda: table_blocks(table, rendering, value_symbols(config.notation)))
 
 
 @_leaf("matrix", "two-by-two matrix of a binary connective",
@@ -454,22 +474,21 @@ def _cmd_triadic_eval(args) -> Output:
 
 @_leaf("triadic table", "full three-valued table", *_FORMULA)
 def _cmd_triadic_table(args) -> Output:
-    from .bivalent import format_truth_table
+    from .bivalent import table_blocks
     from .trivalent import is_tautology3, truth_table3
     formula, config = _parsed(args)
-    is_tautology3(formula)  # raises what truth_table3 would, before a row is built
+    is_tautology3(formula)  # raises what truth_table3 would, before the size check
     names = variables_of(formula)
-    _check_table_size(formula, names, 3 ** len(names), config)
+
+    def payload(rendering: str, rows: Iterable) -> dict:
+        return {"rendering": rendering, "variables": names, "rows": _rows_json(rows)}
+
+    _check_table_size(args, formula, config, 3 ** len(names), payload,
+                      (dict.fromkeys(names, TriadicValue.V), TriadicValue.V))
     table = truth_table3(formula)
     rendering = render(formula, config)
-    return Output(lambda: {
-        "rendering": rendering,
-        "variables": list(table.variables),
-        "rows": [
-            {"assignment": _assignment_json(a), "value": value.value}
-            for a, value in table.rows
-        ],
-    }, lambda: format_truth_table(table, rendering))
+    return Output(lambda: payload(rendering, table.rows),
+                  lambda: table_blocks(table, rendering))
 
 
 @_leaf("triadic check-restriction",
@@ -575,7 +594,7 @@ def _longest_renderings(max_slots: int, config: SyntaxConfig) -> list[int]:
             left, right = (Variable("p" * (bounds[j] + 2)) for j in (i, slots - 1 - i))
             for c in CONNECTIVES:
                 formula = Binary(c, left, right)
-                longest = max(longest, rendered_sizes(formula, config)[formula])
+                longest = max(longest, rendered_size(formula, config))
         bounds.append(longest)
     return bounds
 
@@ -711,11 +730,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         output = args.handler(args)
         if args.format_ == "json":
-            import json
-            document = json.dumps(
-                {"schema": 1, "command": args.path, **output.payload()},
-                ensure_ascii=False, indent=2,
-            )
+            document = _json_document(args.path, output.payload())
         else:
             document = output.text()
     except ParseError as exc:
@@ -733,7 +748,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        print(document, flush=True)
+        sys.stdout.writelines([document] if isinstance(document, str) else document)
+        print(flush=True)
     except BrokenPipeError:
         # The reader closed stdout.  Point its descriptor at the null device,
         # so the flush at shutdown cannot fail again and write to stderr (the

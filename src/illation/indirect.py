@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
                    Negation, TruthValue, Variable, subformulas)
-from .notation import (SyntaxConfig, display_width, pad_display, render, rendered_sizes,
-                       value_symbols)
+from .notation import SyntaxConfig, _sizes, display_width, pad_display, render, value_symbols
 
 _NOTES = NOTE_ROOT, NOTE_FORCED, NOTE_BRANCH_OPEN, NOTE_BRANCH_CLOSED = (
     "root-assumption", "forced", "branch-open", "branch-closed")
@@ -281,10 +280,10 @@ def render_trace(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) ->
 def trace_size(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> int:
     """len(render_trace(trace, config)), found without building the text,
     from each column's rendered length and width and the steps' notes."""
-    root = trace.columns[-1]
-    # Each column's rendered length and width, in column order.
-    lengths = rendered_sizes(root, config).values()
-    widths = rendered_sizes(root, config, display_width).values()
+    # Each column's rendered length and width, in column order: every column
+    # is a node object of the whole formula, the last column.
+    sizes = _sizes(trace.columns[-1], config)
+    lengths, widths = zip(*(sizes[id(column)] for column in trace.columns))
     # The header pads each rendering to its width (at least 1) and ends in
     # "  | note"; a step's line is a line break, a cell of width + 2 per
     # column, "| " and the note.

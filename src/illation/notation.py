@@ -578,22 +578,39 @@ def render(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> str:
     return "".join(out)
 
 
-def rendered_sizes(
-    formula: Formula,
-    config: SyntaxConfig = SyntaxConfig(),
-    measure: Callable[[str], int] = len,
-) -> dict[Formula, int]:
-    """Every distinct subformula's rendered size, in post-order, without
-    building any text: `measure` (`len` for characters, `display_width` for
-    terminal cells) of each literal piece, summed."""
+def _sizes(formula: Formula, config: SyntaxConfig) -> dict[int, tuple[int, int]]:
+    """Each node's rendered (length, display width), keyed by the node's
+    `id`, from one fold that builds no text: its literal pieces' sizes plus
+    its operands', where a connective the notation lacks takes its
+    expansion's."""
     layout = _LAYOUTS[(config.notation, config.encoding)]
 
-    def size(node: Formula, *operands: int) -> int:
-        return sum(map(measure, _frame(node, layout))) + sum(operands)
+    def size(node: Formula, *operands: tuple[int, int]) -> tuple[int, int]:
+        length = width = 0
+        for piece in _frame(node, layout):
+            length += len(piece)
+            width += display_width(piece)
+        for below_length, below_width in operands:
+            length += below_length
+            width += below_width
+        return length, width
 
-    values = {}
+    values: dict[int, tuple[int, int]] = {}
     fold(formula, _expanded(size, config.notation), values)
-    return {node: values[id(node)] for node in subformulas(formula)}
+    return values
+
+
+def rendered_size(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> int:
+    """len(render(formula, config)), without building the text."""
+    return _sizes(formula, config)[id(formula)][0]
+
+
+def rendered_sizes(formula: Formula, config: SyntaxConfig = SyntaxConfig()
+                   ) -> dict[Formula, int]:
+    """Every distinct subformula's rendered length, in post-order, without
+    building any text."""
+    values = _sizes(formula, config)
+    return {node: values[id(node)][0] for node in subformulas(formula)}
 
 
 def translate(text: str, source: SyntaxConfig, target: SyntaxConfig) -> str:
@@ -611,6 +628,8 @@ def value_symbols(notation: Notation) -> tuple[str, str]:
 
 def display_width(text: str) -> int:
     """Terminal cells `text` occupies: combining marks take none."""
+    if text.isascii():
+        return len(text)
     return sum(1 for ch in text if not unicodedata.combining(ch))
 
 

@@ -20,10 +20,11 @@ the barred Z gives (a.V & b.V, a.F | b.F).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .bivalent import _check_kind, _check_limit
+from .bivalent import Rows, _check_kind, _check_limit
 from .core import (
     Binary,
     Constant,
@@ -173,8 +174,24 @@ def assignments3(variables: Sequence[str]) -> Iterable[Assignment3]:
 
 @dataclass(frozen=True)
 class TriadicTable:
+    """A formula's triadic table, kept as its (V, F) mask pair: bit k of
+    each is set where row k, in `assignments3` order, gives V, resp. F."""
+
     variables: tuple[str, ...]
-    rows: tuple[tuple[Assignment3, TriadicValue], ...]
+    masks: tuple[int, int]
+
+    @cached_property
+    def rows(self) -> Rows:
+        # Row k is bit k, so the binary strings read last row first.  Read as
+        # hexadecimal, each binary digit is one hex digit, so 2V + F spells
+        # every row's value as one digit: 2 for V, 1 for F, 0 for L.
+        width = 3 ** len(self.variables)
+        v, f = (int(format(mask, f"0{width}b")[::-1], 16) for mask in self.masks)
+        return Rows(self.variables, TRIADIC_VALUES, format(2 * v + f, f"0{width}x"),
+                    _OUTCOMES3)
+
+
+_OUTCOMES3 = {"2": _V, "1": _F, "0": _L}
 
 
 def truth_table3(
@@ -183,16 +200,7 @@ def truth_table3(
     names = variables_of(formula)
     _check_limit(names, limit)
     masks, full = variable_masks3(names)
-    v, f = truth_vector3(formula, masks, full)
-    # Row k is bit k, so the binary strings read last row first.
-    width = f"0{3 ** len(names)}b"
-    rows = tuple(
-        (a, _V if vb == "1" else _F if fb == "1" else _L)
-        for a, vb, fb in zip(
-            assignments3(names), format(v, width)[::-1], format(f, width)[::-1]
-        )
-    )
-    return TriadicTable(tuple(names), rows)
+    return TriadicTable(tuple(names), truth_vector3(formula, masks, full))
 
 
 def is_tautology3(

@@ -153,6 +153,50 @@ def distinct_subformulas(formula: Formula) -> list[Formula]:
     return list(seen)
 
 
+def reference_table_rows(formula: Formula, row_order: str = "t-first") -> tuple:
+    """A truth table's rows, each an assignment dict and the formula's value
+    on it, from `eval_bool`, in `row_order`."""
+    names = variables_of(formula)
+    cells = (TruthValue.F, TruthValue.T) if row_order == "f-first" else (TruthValue.T,
+                                                                        TruthValue.F)
+    rows = []
+    for combo in product(cells, repeat=len(names)):
+        env = dict(zip(names, combo))
+        flag = eval_bool(formula, {name: v is TruthValue.T for name, v in env.items()})
+        rows.append((env, to_value(flag)))
+    return tuple(rows)
+
+
+def reference_triadic_rows(formula: Formula) -> tuple:
+    """A triadic table's rows, V/L/F order, from `eval_triadic`."""
+    names = variables_of(formula)
+    return tuple(
+        (env, eval_triadic(formula, env))
+        for env in (dict(zip(names, combo)) for combo in product(
+            (TriadicValue.V, TriadicValue.L, TriadicValue.F), repeat=len(names)))
+    )
+
+
+def reference_table_text(variables, rows, header: str,
+                         symbols: tuple[str, str] = ("t", "f")) -> str:
+    """The plain per-row formatter `format_truth_table` replaced: one line
+    per (assignment, value) row, each cell looked up in the row's dict."""
+    t_sym, f_sym = symbols
+
+    def sym(v) -> str:
+        return t_sym if v is TruthValue.T else f_sym if v is TruthValue.F else v.value
+
+    widths = [max(len(name), 1) for name in variables]
+    head_cells = [name.ljust(w) for name, w in zip(variables, widths)]
+    lines = [(" ".join(head_cells) + " | " + header).rstrip() if head_cells
+             else "| " + header]
+    for assignment, value in rows:
+        cells = [sym(assignment[name]).ljust(w) for name, w in zip(variables, widths)]
+        prefix = " ".join(cells) + " | " if cells else "| "
+        lines.append(prefix + sym(value))
+    return "\n".join(lines)
+
+
 def to_value(flag: bool) -> TruthValue:
     return TruthValue.T if flag else TruthValue.F
 

@@ -27,6 +27,7 @@ from illation.core import (
     CONNECTIVES,
     Constant,
     IMPLICATION,
+    connective,
     Negation,
     TriadicValue,
     TruthValue,
@@ -36,9 +37,12 @@ from illation.core import (
     implies,
     variables_of,
 )
-from illation.notation import Notation, SyntaxConfig, parse
+from illation.notation import Notation, SyntaxConfig, parse, render
+from illation.trivalent import truth_table3
 
-from helpers import BOOL_OPS, brute_force_kind, eval_bool, random_formula, to_value
+from helpers import (BOOL_OPS, brute_force_kind, eval_bool, random_formula,
+                     reference_table_rows, reference_table_text, reference_triadic_rows,
+                     to_value)
 
 T, F = TruthValue.T, TruthValue.F
 A, B, C = Variable("a"), Variable("b"), Variable("c")
@@ -182,6 +186,76 @@ class TestTruthTable:
             truth_table(six, limit=5)
         assert len(truth_table(six, limit=6).rows) == 64
         assert classify(six, limit=6).kind == "contingent"
+
+
+def chain(rng, names, connective_names=tuple(BOOL_OPS)):
+    """A formula over every name of `names`, in order, joined by seeded
+    connectives, each operand negated now and then."""
+    formula = Variable(names[0])
+    for name in names[1:]:
+        right = Variable(name)
+        if rng.random() < 0.3:
+            right = Negation(right)
+        formula = Binary(connective(rng.choice(connective_names)), formula, right)
+    return formula
+
+
+class TestColumnarTable:
+    """A table keeps the truth vector; its rows and its text are read from
+    the vector, checked here against the plain per-row reference."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(1893)
+        formulas = [any_formula(rng, max_depth=5) for _ in range(120)]
+        formulas += [Constant(T), Negation(Binary(IMPLICATION, Constant(T), Constant(F)))]
+        wide = ("a", "bb", "long_name", "x1")
+        formulas += [random_formula(rng, 4, names=wide, connective_names=tuple(BOOL_OPS))
+                     for _ in range(30)]
+        # Past one block of rows: more variables than a block lays out once.
+        formulas += [chain(rng, [f"p{i}" for i in range(n)]) for n in (9, 10, 11, 11)]
+        return formulas
+
+    @pytest.mark.parametrize("row_order", ["t-first", "f-first"])
+    def test_text_matches_the_per_row_reference(self, row_order):
+        for formula in self.corpus():
+            names = variables_of(formula)
+            table = truth_table(formula, row_order=row_order)
+            rows = reference_table_rows(formula, row_order)
+            assert table.rows == rows
+            header = render(formula)
+            for symbols in (("t", "f"), ("v", "f")):
+                assert format_truth_table(table, header, symbols) == reference_table_text(
+                    names, rows, header, symbols)
+
+    def test_rows_read_as_the_tuple_of_rows(self):
+        rng = random.Random(1902)
+        nine = chain(rng, [f"q{i}" for i in range(9)])
+        five = chain(rng, [f"r{i}" for i in range(5)], ("conjunction", "disjunction"))
+        cases = [
+            (truth_table(nine), reference_table_rows(nine)),
+            (truth_table(nine, row_order="f-first"), reference_table_rows(nine, "f-first")),
+            (truth_table3(five), reference_triadic_rows(five)),
+            (truth_table(Constant(F)), (({}, F),)),
+        ]
+        for table, expected in cases:
+            rows, n = table.rows, len(expected)
+            assert len(rows) == n
+            for k in {0, n // 2, n - 1, -1, -n}:
+                assert rows[k] == expected[k]
+            for k in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    rows[k]
+            for key in (slice(None), slice(1, 5), slice(None, None, -3), slice(-4, None),
+                        slice(5, 1), slice(None, None, 7)):
+                assert rows[key] == expected[key]
+            assert list(reversed(rows)) == list(reversed(expected))
+            assert list(rows) == list(expected)
+            assert rows == expected and expected == rows
+            assert rows != list(expected) and rows != expected[1:]
+        again = truth_table(parse(render(nine)))
+        assert again.rows == cases[0][0].rows
+        assert cases[0][0].rows != cases[1][0].rows
 
 
 class TestMatrix:

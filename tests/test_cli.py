@@ -653,13 +653,14 @@ class TestOutputBound:
             raise AssertionError("text built past the limit")
         for module, name in ((cli, "render"), (indirect, "render_trace"),
                              (bivalent, "truth_table"), (bivalent, "format_truth_table"),
-                             (trivalent, "truth_table3")):
+                             (bivalent, "table_blocks"), (trivalent, "truth_table3")):
             monkeypatch.setattr(module, name, refuse)
 
     def test_table_prediction_is_the_output_length(self, monkeypatch):
         """The table bound counts the rows as well as the header: in every
         notation-encoding pair and row order, and for the triadic table,
-        the limit one below the text refuses it naming its length."""
+        the limit one below the text, or the JSON, refuses it naming its
+        length."""
         rng = random.Random(1883)
         names = ("a", "bb", "long_name", "x1")
         argvs = [["table", "--encoding", "ascii", "!T | F"],  # closed: one row
@@ -679,6 +680,9 @@ class TestOutputBound:
             text = render(formula, SyntaxConfig(Notation(notation), encoding))
             argvs.append(["triadic", "table", "--notation", notation,
                           "--encoding", encoding, "--", text])
+        leaf = {"table": 1, "triadic": 2}  # the words of each command's path
+        argvs += [[*argv[:leaf[argv[0]]], "--format", "json", *argv[leaf[argv[0]]:]]
+                  for argv in argvs]
         for argv in argvs:
             monkeypatch.setattr(cli, "OUTPUT_LIMIT", 64 * 2**20)
             code, out, err = run_cli(*argv)
@@ -696,6 +700,12 @@ class TestOutputBound:
         text = " & ".join(f"v{i}" + "x" * 3000 for i in range(12))
         code, out, err = run_cli("table", "--encoding", "ascii", text)
         assert (code, out, _predicted(err)) == (4, "", 147_700_151)
+
+    def test_wide_table_json_exits_before_building(self, nothing_rendered):
+        """18 one-letter variables: 10 MB of text, but 101 MB of JSON."""
+        text = " & ".join("abcdefghijklmnopqr")
+        code, out, err = run_cli("table", "--format", "json", text)
+        assert (code, out, _predicted(err)) == (4, "", 101_187_968)
 
     def test_table_input_errors_come_before_the_bound(self, monkeypatch):
         monkeypatch.setattr(cli, "OUTPUT_LIMIT", 10)

@@ -19,7 +19,8 @@ from illation.core import (
     implies,
     variables_of,
 )
-from illation.bivalent import MissingVariableError, VariableLimitError
+from illation.bivalent import MissingVariableError, VariableLimitError, format_truth_table
+from illation.notation import render
 from illation.trivalent import (
     NEGATION3,
     OPLUS_ROWS,
@@ -38,7 +39,8 @@ from illation.trivalent import (
     zbar,
 )
 
-from helpers import eval_triadic, random_formula
+from helpers import (eval_triadic, random_formula, reference_table_text,
+                     reference_triadic_rows)
 
 V, L, F3 = TriadicValue.V, TriadicValue.L, TriadicValue.F
 X, Y = Variable("x"), Variable("y")
@@ -178,6 +180,30 @@ class TestTable3:
             wide = disj(wide, Variable(f"x{i}"))
         with pytest.raises(VariableLimitError):
             truth_table3(wide)
+
+
+    def test_text_matches_the_per_row_reference(self):
+        """The text read from the (V, F) masks, against the per-row reference
+        formatter over the reference rows: names of several widths, closed
+        formulas, and more variables than one block of rows lays out."""
+        rng = random.Random(1910)
+        ops = ("conjunction", "disjunction")
+        formulas = [random_formula(rng, 5, names=("a", "bb", "long_name", "x1", "y"),
+                                   connective_names=ops) for _ in range(60)]
+        formulas += [Constant(TruthValue.T), Negation(disj(Constant(TruthValue.F),
+                                                           Constant(TruthValue.T)))]
+        nine = Variable("p0")
+        for i in range(1, 9):
+            operand = Variable(f"p{i}")
+            nine = Binary(connective(rng.choice(ops)), nine,
+                          Negation(operand) if rng.random() < 0.3 else operand)
+        formulas.append(nine)
+        for formula in formulas:
+            table = truth_table3(formula)
+            rows = reference_triadic_rows(formula)
+            assert table.rows == rows
+            assert format_truth_table(table, render(formula)) == reference_table_text(
+                variables_of(formula), rows, render(formula))
 
 
 class TestTautology3:
