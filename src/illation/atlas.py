@@ -13,7 +13,6 @@ the descriptor line is the precise statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -24,6 +23,7 @@ from .core import (
     Connective,
     EnumerationBoundError,
     Formula,
+    Record,
     TruthValue,
     Variable,
     connective_from_vector,
@@ -53,8 +53,7 @@ PRINTED_ANNOTATIONS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class PrintedTable:
+class PrintedTable(Record):
     grid: tuple[tuple[TruthValue, ...], ...]
     annotations: tuple[str, ...]
     duplicate_column: int = 8
@@ -95,8 +94,7 @@ def identify(source: MatrixTable | Sequence[TruthValue]) -> Connective:
 QUADRANTS = ("top", "right", "left", "bottom")
 
 
-@dataclass(frozen=True)
-class XFrame:
+class XFrame(Record):
     """Closure flags in canonical pair order: (t,t), (t,f), (f,t), (f,f)."""
 
     closed: tuple[bool, bool, bool, bool]
@@ -141,8 +139,7 @@ MAX_VARIABLES = 3
 MAX_SLOTS = 5
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class EnumerationSpec(Record):
     max_variables: int = 3
     max_connective_slots: int = 3
     shape_policy: str = "right-combs"
@@ -214,15 +211,13 @@ def _vector_counts(policy: str, max_slots: int, leaf_masks: list[int],
     return maps
 
 
-@dataclass(frozen=True)
-class EmittedTautology:
+class EmittedTautology(Record):
     formula: Formula
     connectives: tuple[Connective, ...]
     slots: int
 
 
-@dataclass(frozen=True)
-class SlotSummary:
+class SlotSummary(Record):
     slots: int
     generated: int
     tautologies: int
@@ -234,8 +229,7 @@ class SlotSummary:
         return self.tautologies
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     spec: EnumerationSpec
     emitted: tuple[EmittedTautology, ...]
     per_slot: tuple[SlotSummary, ...]

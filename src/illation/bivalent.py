@@ -10,7 +10,6 @@ table builders accept a row-order override.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import add, eq
@@ -22,6 +21,7 @@ from .core import (
     Formula,
     MissingVariableError,
     Negation,
+    Record,
     TruthValue,
     Variable,
     VariableLimitError,
@@ -182,8 +182,7 @@ class Rows(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     """A formula's truth table, kept as its truth vector: bit k is set where
     row k of the t-first order makes the formula true."""
 
@@ -221,8 +220,7 @@ def truth_table(
     return TruthTable(tuple(names), _vector(nodes, masks, full), row_order)
 
 
-@dataclass(frozen=True)
-class MatrixTable:
+class MatrixTable(Record):
     """Two-by-two grid for a binary connective: rows are the antecedent
     (left operand) value, columns the consequent, both ordered t then f."""
 
@@ -253,7 +251,7 @@ def format_truth_table(
     return "".join(table_blocks(table, header, symbols))
 
 
-#: The last variables, whose cells `table_blocks` lays out once as the line
+#: The last variables, whose cells `row_blocks` lays out once as the line
 #: endings every block of rows shares: a block holds 2**8 or 3**8 rows.
 _BLOCK_VARIABLES = 8
 
@@ -279,12 +277,22 @@ def table_blocks(
            else "| " + header)
     # Each variable's cells in row order, padded, each with the space after it.
     cells = [[sym(value).ljust(w) + " " for value in rows.cells] for w in widths]
-    split = max(len(cells) - _BLOCK_VARIABLES, 0)
-    tails = ["".join(combo) + "| " for combo in product(*cells[split:])]
     value_of = {code: sym(value) for code, value in rows.outcomes.items()}
+    yield from row_blocks(rows, cells, value_of, "\n", "| ")
+
+
+def row_blocks(rows: Rows, cells: Sequence[Sequence[str]], value_of: Mapping[str, str],
+               opening: str, closing: str) -> Iterator[str]:
+    """The rows' texts in blocks, one block per run of rows that share every
+    cell but the last few variables'.  A row's text is `opening`, its
+    assignment's cells (cells[i][j] is variable i's at rows.cells[j]),
+    `closing`, then value_of[its value code].  The blocks' endings are laid
+    out once, and no assignment is built."""
+    split = max(len(cells) - _BLOCK_VARIABLES, 0)
+    tails = ["".join(combo) + closing for combo in product(*cells[split:])]
     starts = range(0, len(rows), len(tails))
     for start, head in zip(starts, product(*cells[:split])):
-        line = "\n" + "".join(head)
+        line = opening + "".join(head)
         values = map(value_of.__getitem__, rows.codes[start:start + len(tails)])
         yield line + line.join(map(add, tails, values))
 
@@ -299,8 +307,7 @@ def table_size(variables: Sequence[str], rows: int, header_size: int) -> int:
     return cells + len(" | ") + header_size + rows * (len("\n | t") + cells)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Classification of a formula with deterministic witnesses: the first row
     in canonical order falsifying it (absent for tautologies) and the first
     satisfying it (absent for contradictions)."""
@@ -308,6 +315,14 @@ class Verdict:
     kind: str  # "tautology" | "contradiction" | "contingent"
     falsifying: Assignment | None
     satisfying: Assignment | None
+
+    def __init__(self, kind: str, falsifying: Assignment | None,
+                 satisfying: Assignment | None) -> None:
+        # Record's init unrolled, as each `classify` call builds one.
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["falsifying"] = falsifying
+        fields["satisfying"] = satisfying
 
 
 def classify(formula: Formula, limit: int = DEFAULT_VARIABLE_LIMIT) -> Verdict:
@@ -319,8 +334,7 @@ def classify(formula: Formula, limit: int = DEFAULT_VARIABLE_LIMIT) -> Verdict:
     return Verdict(kind, _row(names, full ^ vector), _row(names, vector))
 
 
-@dataclass(frozen=True)
-class EntailmentResult:
+class EntailmentResult(Record):
     valid: bool
     counterexample: Assignment | None
 

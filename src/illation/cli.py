@@ -27,10 +27,9 @@ other submodules in its first line, and `main` imports `json` only for
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .core import (CONNECTIVES, Binary, Connective, Constant, EnumerationBoundError,
@@ -71,9 +70,10 @@ def _check_size(size: int) -> None:
 class Output(NamedTuple):
     """A handler's result. Only the form `--format` asks for is built, so a
     text run never assembles JSON rows and a JSON run never lays out text.
-    `text` gives the text, or its pieces in order, written as they come."""
+    `payload` gives the JSON payload, or the whole document in pieces, and
+    `text` the text, or its pieces; pieces are written as they come."""
 
-    payload: Callable[[], dict]
+    payload: Callable[[], dict | Iterable[str]]
     text: Callable[[], str | Iterable[str]]
     code: int = EXIT_OK
 
@@ -83,6 +83,27 @@ def _json_document(path: str, payload: dict) -> str:
     import json
     return json.dumps({"schema": 1, "command": path, **payload},
                       ensure_ascii=False, indent=2)
+
+
+def _json_table(path: str, payload: dict, rows) -> Iterator[str]:
+    """`_json_document(path, payload)` with the table's `rows` in the empty
+    "rows" list that ends `payload`, written in blocks by `row_blocks`.  Every
+    row's JSON has one shape and one-character values, so the pieces join to
+    the text `json.dumps` gives for the whole, and no row is built as a dict."""
+    import json
+    from .bivalent import row_blocks
+    document = _json_document(path, payload)
+    yield document[:-len("]\n}")]
+    keys = [json.dumps(name, ensure_ascii=False) for name in rows.variables]
+    last = len(keys) - 1
+    cells = [[f'\n        {key}: "{value.value}"{"," * (i < last)}' for value in rows.cells]
+             for i, key in enumerate(keys)]
+    closing = ("\n      " if keys else "") + '},\n      "value": "'
+    value_of = {code: f'{value.value}"\n    }}' for code, value in rows.outcomes.items()}
+    blocks = row_blocks(rows, cells, value_of, ',\n    {\n      "assignment": {', closing)
+    yield next(blocks)[1:]  # the first row has no comma before it
+    yield from blocks
+    yield "\n  ]\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +357,7 @@ def _cmd_table(args) -> Output:
                           (dict.fromkeys(names, TruthValue.T), TruthValue.T))
     table = truth_table(formula, row_order=args.row_order)
     rendering = render(formula, config)
-    return Output(lambda: payload(rendering, table.rows),
+    return Output(lambda: _json_table(args.path, payload(rendering, ()), table.rows),
                   lambda: table_blocks(table, rendering, value_symbols(config.notation)))
 
 
@@ -487,7 +508,7 @@ def _cmd_triadic_table(args) -> Output:
                       (dict.fromkeys(names, TriadicValue.V), TriadicValue.V))
     table = truth_table3(formula)
     rendering = render(formula, config)
-    return Output(lambda: payload(rendering, table.rows),
+    return Output(lambda: _json_table(args.path, payload(rendering, ()), table.rows),
                   lambda: table_blocks(table, rendering))
 
 
@@ -608,15 +629,11 @@ def _longest_renderings(max_slots: int, config: SyntaxConfig) -> list[int]:
        _arg("--count-only", action="store_true"))
 def _cmd_connectives_enumerate(args) -> Output:
     from .atlas import EnumerationSpec, emit_tautologies, enumerate_tautologies
-    spec = EnumerationSpec(
-        max_variables=args.max_variables,
-        max_connective_slots=args.max_slots,
-        shape_policy=args.shape,
-        emit_limit=args.emit_limit,
-    )
+    bounds = (args.max_variables, args.max_slots, args.shape)
+    spec = EnumerationSpec(*bounds, args.emit_limit)
     # Count first: --count-only emits nothing, but --limit is still
     # validated above, and the counts bound the lines to be emitted.
-    result = enumerate_tautologies(dataclasses.replace(spec, emit_limit=0))
+    result = enumerate_tautologies(EnumerationSpec(*bounds, emit_limit=0))
     config = _config(args)
     summary = [f"slots={s.slots}: generated={s.generated} "
                f"tautologies={s.tautologies} distinct={s.distinct}"
@@ -730,7 +747,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         output = args.handler(args)
         if args.format_ == "json":
-            document = _json_document(args.path, output.payload())
+            document = output.payload()
+            if isinstance(document, dict):
+                document = _json_document(args.path, document)
         else:
             document = output.text()
     except ParseError as exc:

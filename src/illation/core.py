@@ -71,8 +71,94 @@ PAIR_INDEX: dict[tuple[TruthValue, TruthValue], int] = {
 }
 
 
-@dataclass(frozen=True)
-class Connective:
+class Record:
+    """Base of the package's result and configuration types: a frozen record
+    of the fields annotated in its class body, in order, each with its
+    class-level default if it has one.
+
+    One set of methods gives each record what `@dataclass(frozen=True)`
+    would generate for it: construction by position or keyword, with the
+    same `TypeError`s, then `__post_init__` if the class has one; the
+    dataclass `repr`; `==` between records of one class over their fields;
+    `hash` of the fields; `__match_args__`; and an `AttributeError` on
+    assignment or deletion.  Defining a record compiles no code, where a
+    dataclass compiles six methods.  A method a subclass defines wins, and
+    `functools.cached_property` works, as both write the instance dict.
+    Only the formula nodes are dataclasses, so `dataclasses.fields` and
+    `replace` apply to them alone."""
+
+    __match_args__: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    _post_init = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        cls.__match_args__ = tuple(own.get("__annotations__", {}))
+        cls._defaults = {name: own[name] for name in cls.__match_args__ if name in own}
+        cls._post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self.__match_args__
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        if self._post_init:
+            self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The fields' values from a call that does not give each field by
+        position, or the `TypeError` that a call of `__init__(self, field,
+        ..., field=default)` would raise, checked in the same order."""
+        fields, defaults = self.__match_args__, self._defaults
+        where = f"{type(self).__qualname__}.__init__()"
+        bound = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in bound:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            bound[name] = value
+        if len(args) > len(fields):
+            most = len(fields) + 1  # self included, as in the interpreter's count
+            takes = f"from {most - len(defaults)} to {most}" if defaults else most
+            raise TypeError(f"{where} takes {takes} positional arguments "
+                            f"but {len(args) + 1} were given")
+        missing = [repr(name) for name in fields if name not in bound and name not in defaults]
+        if missing:
+            listed = (" and ".join(missing) if len(missing) < 3
+                      else f"{', '.join(missing[:-1])}, and {missing[-1]}")
+            plural = "s" if len(missing) > 1 else ""
+            raise TypeError(f"{where} missing {len(missing)} required positional "
+                            f"argument{plural}: {listed}")
+        return [bound[name] if name in bound else defaults[name] for name in fields]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Equal connectives are one object, compared once per binary node
+        # in Formula.__eq__.
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Connective(Record):
     """One of the sixteen binary truth functions.
 
     `column` is the canonical 1..16 position, `vector` the outputs on

@@ -33,10 +33,9 @@ is coded as 2 * column + bit, with bit 0 for t and 1 for f.
 
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
-                   Negation, TruthValue, Variable, subformulas)
+                   Negation, Record, TruthValue, Variable, subformulas)
 from .notation import SyntaxConfig, _sizes, display_width, pad_display, render, value_symbols
 
 _NOTES = NOTE_ROOT, NOTE_FORCED, NOTE_BRANCH_OPEN, NOTE_BRANCH_CLOSED = (
@@ -45,17 +44,21 @@ _ROOT, _FORCED, _OPEN, _CLOSED = range(4)
 _VALUES = (TruthValue.T, TruthValue.F)  # indexed by a binding's bit
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """Snapshot of every column after one rule application (None = dash),
     rebuilt from the trace's bindings whenever a step is read."""
 
     values: tuple[TruthValue | None, ...]
     note: str
 
+    def __init__(self, values: tuple[TruthValue | None, ...], note: str) -> None:
+        # Record's init unrolled, as reading a trace builds one step per step.
+        fields = self.__dict__
+        fields["values"] = values
+        fields["note"] = note
 
-@dataclass(frozen=True)
-class TraceSteps(Sequence):
+
+class TraceSteps(Record, Sequence):
     """The steps of a trace as per-step bindings: step s has its note, the
     trail depth it starts from (its base) and the codes it bound, up to any
     conflict: codes[ends[s-1]:ends[s]].  Reading steps replays these deltas
@@ -102,16 +105,14 @@ class TraceSteps(Sequence):
             yield _NOTES[note]
 
 
-@dataclass(frozen=True)
-class IndirectTrace:
+class IndirectTrace(Record):
     """Columns (distinct subformulas, post-order) and steps of one refutation."""
 
     columns: tuple[Formula, ...]
     steps: TraceSteps
 
 
-@dataclass(frozen=True)
-class IndirectResult:
+class IndirectResult(Record):
     outcome: str  # "tautology" | "falsifiable"
     countermodel: dict[str, TruthValue] | None
     unconstrained: tuple[str, ...]

@@ -49,7 +49,6 @@ from __future__ import annotations
 import enum
 import re
 import unicodedata
-from dataclasses import dataclass
 from operator import length_hint
 from typing import Callable, TypeVar
 
@@ -63,6 +62,7 @@ from .core import (
     Constant,
     Formula,
     Negation,
+    Record,
     TruthValue,
     Variable,
     conj,
@@ -90,18 +90,19 @@ class Notation(enum.Enum):
 _ENCODINGS = ("unicode", "ascii")
 
 
-@dataclass(frozen=True)
-class SyntaxConfig:
+class SyntaxConfig(Record):
     notation: Notation = Notation.MODERN
     encoding: str = "unicode"
 
     def __post_init__(self) -> None:
+        if type(self.notation) is not Notation:
+            named = ", ".join(f"Notation.{n.name}" for n in Notation)
+            raise ValueError(f"notation must be one of {named}, got {self.notation!r}")
         if self.encoding not in _ENCODINGS:
             raise ValueError(f"encoding must be one of {_ENCODINGS}, got {self.encoding!r}")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(Record):
     position: int
     message: str
     expected: tuple[str, ...] = ()
@@ -439,8 +440,7 @@ def expand_for(formula: Formula, notation: Notation) -> Formula:
 # ---------------------------------------------------------------------------
 # rendering
 
-@dataclass(frozen=True)
-class _RenderSymbols:
+class _RenderSymbols(Record):
     impl: str
     and_: str
     or_: str

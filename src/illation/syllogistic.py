@@ -15,10 +15,8 @@ raises QuantifiedFormError rather than silently dropping the mark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bivalent import Verdict, classify
-from .core import Binary, Formula, Negation, Variable, conj, implies
+from .core import Binary, Formula, Negation, Record, Variable, conj, implies
 from .notation import Notation, SyntaxConfig, render
 
 FIGURES = ("A", "E", "I", "O")
@@ -42,8 +40,7 @@ class QuantifiedFormError(Exception):
         self.figure = figure
 
 
-@dataclass(frozen=True)
-class CategoricalForm:
+class CategoricalForm(Record):
     figure: str  # "A" | "E" | "I" | "O"
     subject: str
     predicate: str
@@ -83,8 +80,7 @@ def render_categorical(
     return marked + body[len(form.subject):]
 
 
-@dataclass(frozen=True)
-class BarbaraForms:
+class BarbaraForms(Record):
     nested: Formula
     conjunctive: Formula
     nested_verdict: Verdict

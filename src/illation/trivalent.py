@@ -19,7 +19,6 @@ the barred Z gives (a.V & b.V, a.F | b.F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -32,6 +31,7 @@ from .core import (
     INPUT_PAIRS,
     MissingVariableError,
     Negation,
+    Record,
     TriadicValue,
     TruthValue,
     UnsupportedConnectiveError,
@@ -77,8 +77,7 @@ def zbar(left: TriadicValue, right: TriadicValue) -> TriadicValue:
     return ZBAR_ROWS[_POSITION[left]][_POSITION[right]]
 
 
-@dataclass(frozen=True)
-class TriadicTables:
+class TriadicTables(Record):
     negation: dict[TriadicValue, TriadicValue]
     disjunction: tuple[tuple[TriadicValue, ...], ...]
     conjunction: tuple[tuple[TriadicValue, ...], ...]
@@ -172,8 +171,7 @@ def assignments3(variables: Sequence[str]) -> Iterable[Assignment3]:
         yield dict(zip(variables, combo))
 
 
-@dataclass(frozen=True)
-class TriadicTable:
+class TriadicTable(Record):
     """A formula's triadic table, kept as its (V, F) mask pair: bit k of
     each is set where row k, in `assignments3` order, gives V, resp. F."""
 
@@ -222,8 +220,7 @@ def is_tautology3(
     return covered == full
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(Record):
     """Comparison of the triadic tables, restricted to {V, F}, against the
     two-valued negation/disjunction/conjunction."""
 

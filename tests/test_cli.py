@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import illation
 from illation import atlas, bivalent, cli, indirect, trivalent
-from illation.core import CONNECTIVES, Binary, Negation, Variable, implies, variables_of
+from illation.core import (CONNECTIVES, Binary, Negation, Variable, flatten, implies,
+                           variables_of)
 from illation.indirect import indirect_check, render_trace, trace_size
 from illation.notation import (RESERVED_WORDS, Notation, SyntaxConfig, parse, render,
                                rendered_sizes)
@@ -157,6 +158,60 @@ class TestTable:
         code, _, err = run_cli("table", wide)
         assert code == 4
         assert "exceed" in err
+
+
+def _whole_json_table(argv: list[str], formula, config: SyntaxConfig, rows,
+                      **fields) -> str:
+    """What `table` or `triadic table --format json` printed when it built
+    every row as a dict and dumped the document at once."""
+    rows_json = [{"assignment": {name: v.value for name, v in assignment.items()},
+                  "value": value.value} for assignment, value in rows]
+    return json.dumps({"schema": 1, "command": " ".join(argv),
+                       "rendering": render(formula, config),
+                       "variables": variables_of(formula), **fields, "rows": rows_json},
+                      ensure_ascii=False, indent=2) + "\n"
+
+
+class TestJsonTableBlocks:
+    """`table` and `triadic table --format json` write their rows in blocks,
+    the same bytes as `json.dumps` of the whole document."""
+
+    TEXTS = ["T", "!F", "a", "a -> b", " & ".join("abcdeghij"),
+             "long_name_1 | (b2 -> !long_name_1)"]
+
+    def cases(self):
+        """(the formula, its config, the CLI arguments that give both)."""
+        rng = random.Random(1509)
+        ascii_modern = SyntaxConfig(Notation.MODERN, "ascii")
+        texts = self.TEXTS + [render(random_formula(rng, 4), ascii_modern) for _ in range(6)]
+        configs = [("modern", "ascii"), ("peirce", "unicode"), ("peano-russell", "ascii")]
+        for i, text in enumerate(texts):
+            notation, encoding = configs[i % len(configs)]
+            config = SyntaxConfig(Notation(notation), encoding)
+            rendering = render(parse(text), config)
+            yield parse(rendering, config), config, [
+                "--notation", notation, "--encoding", encoding, "--", rendering]
+
+    @pytest.mark.parametrize("row_order", ["t-first", "f-first"])
+    def test_table(self, row_order):
+        for formula, config, argv in self.cases():
+            code, out, err = run_cli("table", "--format", "json", "--row-order", row_order, *argv)
+            rows = bivalent.truth_table(formula, row_order=row_order).rows
+            assert (code, err) == (0, "")
+            same = out == _whole_json_table(["table"], formula, config, rows,
+                                            row_order=row_order)
+            assert same, argv
+
+    def test_triadic_table(self):
+        for formula, config, argv in self.cases():
+            if any(isinstance(node, Binary) and node.connective.name
+                   not in ("conjunction", "disjunction") for node in flatten(formula)[0]):
+                continue
+            code, out, err = run_cli("triadic", "table", "--format", "json", *argv)
+            rows = trivalent.truth_table3(formula).rows
+            assert (code, err) == (0, "")
+            same = out == _whole_json_table(["triadic", "table"], formula, config, rows)
+            assert same, argv
 
 
 class TestCheck:

@@ -2,8 +2,12 @@
 command loads only the submodules it calls, and the lazy namespace gives the
 same objects as the modules that define them."""
 
+import ast
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -114,3 +118,29 @@ def test_moved_errors_are_the_same_objects():
     assert trivalent.MissingVariableError is core.MissingVariableError
     assert trivalent.UnsupportedConnectiveError is core.UnsupportedConnectiveError
     assert atlas.EnumerationBoundError is core.EnumerationBoundError
+
+
+def test_only_the_formula_nodes_are_dataclasses():
+    """The result and configuration types are `core.Record`s: defining a
+    dataclass compiles its methods when the module is imported."""
+    names = [info.name for info in pkgutil.iter_modules(illation.__path__)
+             if info.name != "__main__"]
+    assert set(SUBMODULES) | {"cli"} == set(names)
+    found = set()
+    for name in names:
+        module = importlib.import_module(f"illation.{name}")
+        found |= {f"{name}.{key}" for key, value in vars(module).items()
+                  if isinstance(value, type) and value.__module__ == module.__name__
+                  and dataclasses.is_dataclass(value)}
+    assert found == {"core.Constant", "core.Variable", "core.Negation", "core.Binary"}
+
+
+def test_cli_does_not_import_dataclasses():
+    from illation import cli
+
+    with open(cli.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in imported

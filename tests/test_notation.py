@@ -64,6 +64,16 @@ class TestSyntaxConfig:
         with pytest.raises(ValueError):
             SyntaxConfig(Notation.MODERN, "utf-8")
 
+    def test_a_notation_name_is_not_a_notation(self):
+        # A string here used to pass, and parse then failed with a bare KeyError.
+        message = ("notation must be one of Notation.PEIRCE, Notation.SCHROEDER, "
+                   "Notation.PEANO_RUSSELL, Notation.MODERN, got 'modern'")
+        with pytest.raises(ValueError) as refused:
+            SyntaxConfig("modern")
+        assert str(refused.value) == message
+        with pytest.raises(ValueError):
+            SyntaxConfig(notation=None)
+
 
 class TestParsingBasics:
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)

@@ -1,0 +1,180 @@
+"""The result and configuration types are `core.Record`s, and each behaves as
+the frozen dataclass with its fields and defaults: its twin, built here."""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from illation import atlas, bivalent, core, indirect, notation, syllogistic, trivalent
+from illation.core import CONNECTIVES, IMPLICATION, Record
+from illation.notation import Notation, parse
+
+MODULES = (core, notation, bivalent, indirect, trivalent, atlas, syllogistic)
+
+
+def samples() -> dict[type, object]:
+    """One instance of every record type the package defines, by its type."""
+    result = indirect.indirect_check(parse("(a -> b) | !b"))
+    enumeration = atlas.enumerate_tautologies(atlas.EnumerationSpec(2, 1, emit_limit=2))
+    try:
+        parse("a ->")
+    except notation.ParseError as exc:
+        diagnostic = exc.diagnostic
+    found = [
+        CONNECTIVES[12], notation.SyntaxConfig(Notation.PEIRCE, "ascii"), diagnostic,
+        notation._RENDER[Notation.PEIRCE, "unicode"],
+        bivalent.truth_table(parse("a | !b"), row_order="f-first"),
+        bivalent.matrix_table(IMPLICATION), bivalent.classify(parse("a -> b")),
+        bivalent.entails([parse("a | b")], parse("a")),
+        result.trace.steps[1], result.trace.steps, result.trace, result,
+        trivalent.TABLES, trivalent.truth_table3(parse("a | !b")),
+        trivalent.restriction_check(),
+        atlas.paper_table(), atlas.xframe_of(IMPLICATION), enumeration.spec,
+        enumeration.emitted[0], enumeration.per_slot[1], enumeration,
+        syllogistic.CategoricalForm("E", "x", "y"), syllogistic.barbara(),
+    ]
+    return {type(record): record for record in found}
+
+
+SAMPLES = samples()
+RECORD_TYPES = sorted(SAMPLES, key=lambda cls: cls.__qualname__)
+
+
+def twin(cls: type) -> type:
+    """The frozen dataclass with `cls`'s name, annotated fields and class-level
+    defaults, and the `__post_init__`, `__hash__` and `__str__` it defines."""
+    own = vars(cls)
+    fields = [(name, kind, dataclasses.field(default=own[name])) if name in own
+              else (name, kind) for name, kind in own["__annotations__"].items()]
+    namespace = {name: own[name] for name in ("__post_init__", "__hash__", "__str__")
+                 if name in own}
+    return dataclasses.make_dataclass(cls.__qualname__, fields, namespace=namespace,
+                                      frozen=True)
+
+
+TWINS = {cls: twin(cls) for cls in RECORD_TYPES}
+
+
+def outcome(make, *args, **kwargs):
+    """What a call gives: the repr of its result, or its error's type and text."""
+    try:
+        return repr(make(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - the errors are what is compared
+        return type(exc), str(exc)
+
+
+def hashed(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+def values(record) -> tuple:
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(TWINS[type(record)]))
+
+
+def test_every_record_type_has_a_sample():
+    defined = {value for module in MODULES for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, Record) and value is not Record}
+    assert defined == set(SAMPLES)
+    assert len(defined) == 23  # Connective and the 22 result and configuration types
+
+
+@pytest.fixture(params=RECORD_TYPES, ids=lambda cls: cls.__qualname__)
+def kind(request):
+    return request.param
+
+
+def test_fields_repr_str_and_match_args(kind):
+    args = values(SAMPLES[kind])
+    record, dataclass = kind(*args), TWINS[kind](*args)
+    assert kind.__match_args__ == TWINS[kind].__match_args__
+    assert repr(record) == repr(dataclass) == repr(SAMPLES[kind])
+    assert str(record) == str(dataclass)
+
+
+def test_equality_and_hash(kind):
+    args = values(SAMPLES[kind])
+    record, dataclass = kind(*args), TWINS[kind](*args)
+    assert record == kind(*args) == SAMPLES[kind]
+    assert not record != kind(*args)
+    assert record != dataclass and not record == dataclass
+    assert hashed(record) == hashed(dataclass) == hashed(SAMPLES[kind])
+
+
+def test_each_field_takes_part_in_equality(kind):
+    args = values(SAMPLES[kind])
+    for i in range(len(args)):
+        changed = (*args[:i], object(), *args[i + 1:])
+        if not isinstance(outcome(TWINS[kind], *changed), tuple):  # else __post_init__ refuses it
+            assert kind(*changed) != SAMPLES[kind]
+
+
+def test_construction_by_position_keyword_and_default(kind):
+    args = values(SAMPLES[kind])
+    names = kind.__match_args__
+    keywords = dict(zip(names, args))
+    calls = [
+        (args, {}), ((), keywords), (args[:1], dict(list(keywords.items())[1:])),
+        (args[:-1], {}), ((), {}), (args[:1], {}),
+        ((*args, "extra"), {}), ((*args, "extra", "more"), {}),
+        (args, {"zz_unknown": 1}), ((), {"zz_unknown": 1}),
+        (args[:1], {names[0]: args[0]}),
+    ]
+    for call_args, call_keywords in calls:
+        assert (outcome(kind, *call_args, **call_keywords)
+                == outcome(TWINS[kind], *call_args, **call_keywords)), (call_args, call_keywords)
+
+
+def test_records_are_frozen(kind):
+    record, dataclass = SAMPLES[kind], TWINS[kind](*values(SAMPLES[kind]))
+    for name in (kind.__match_args__[0], "not_a_field"):
+        for target in (record, dataclass):
+            with pytest.raises(AttributeError) as assigned:
+                setattr(target, name, None)
+            with pytest.raises(AttributeError) as deleted:
+                delattr(target, name)
+            assert str(assigned.value) == f"cannot assign to field {name!r}"
+            assert str(deleted.value) == f"cannot delete field {name!r}"
+
+
+def test_pickles_and_copies_round_trip(kind):
+    record = SAMPLES[kind]
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(again) is kind
+        assert repr(again) == repr(record)
+        assert again == record
+        assert hashed(again) == hashed(record)
+
+
+@pytest.mark.parametrize("cls, args, keywords", [
+    (notation.SyntaxConfig, ("modern",), {}),
+    (notation.SyntaxConfig, (), {"encoding": "utf-8"}),
+    (atlas.EnumerationSpec, (0,), {}),
+    (atlas.EnumerationSpec, (1, 9), {}),
+    (atlas.EnumerationSpec, (), {"shape_policy": "left-combs"}),
+    (atlas.EnumerationSpec, (), {"emit_limit": -1}),
+    (syllogistic.CategoricalForm, ("X", "x", "y"), {}),
+    (syllogistic.CategoricalForm, ("A", "2x", "y"), {}),
+], ids=lambda value: repr(value) if not isinstance(value, type) else value.__qualname__)
+def test_post_init_errors(cls, args, keywords):
+    got = outcome(cls, *args, **keywords)
+    assert got == outcome(TWINS[cls], *args, **keywords)
+    assert isinstance(got, tuple)  # refused
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bivalent.truth_table(parse("a -> (b | !c)")),
+    lambda: trivalent.truth_table3(parse("a | (b & !c)")),
+], ids=["TruthTable", "TriadicTable"])
+def test_cached_rows_stay_out_of_the_fields(make):
+    table = make()
+    fresh = type(table)(*values(table))
+    rows = table.rows
+    assert table.rows is rows and vars(table)["rows"] is rows
+    assert "rows" not in vars(fresh)
+    assert table == fresh and hash(table) == hash(fresh)
+    assert repr(table) == repr(fresh) and "rows" not in repr(table)
