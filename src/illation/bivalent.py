@@ -26,6 +26,7 @@ from .core import (
     Variable,
     VariableLimitError,
     flatten,
+    grid_size,
 )
 
 Assignment = dict[str, TruthValue]
@@ -275,10 +276,15 @@ def table_blocks(
     head_cells = [name.ljust(w) for name, w in zip(rows.variables, widths)]
     yield ((" ".join(head_cells) + " | " + header).rstrip() if head_cells
            else "| " + header)
-    # Each variable's cells in row order, padded, each with the space after it.
-    cells = [[sym(value).ljust(w) + " " for value in rows.cells] for w in widths]
     value_of = {code: sym(value) for code, value in rows.outcomes.items()}
-    yield from row_blocks(rows, cells, value_of, "\n", "| ")
+    yield from row_blocks(rows, _text_cells(rows.variables, [sym(v) for v in rows.cells]),
+                          value_of, "\n", "| ")
+
+
+def _text_cells(variables: Sequence[str], symbols: Sequence[str]) -> list[list[str]]:
+    """Each variable's cells in a table's text, one per value symbol, padded
+    to the variable's column and each with the space after it."""
+    return [[s.ljust(max(len(name), 1)) + " " for s in symbols] for name in variables]
 
 
 def row_blocks(rows: Rows, cells: Sequence[Sequence[str]], value_of: Mapping[str, str],
@@ -287,7 +293,8 @@ def row_blocks(rows: Rows, cells: Sequence[Sequence[str]], value_of: Mapping[str
     cell but the last few variables'.  A row's text is `opening`, its
     assignment's cells (cells[i][j] is variable i's at rows.cells[j]),
     `closing`, then value_of[its value code].  The blocks' endings are laid
-    out once, and no assignment is built."""
+    out once, and no assignment is built; `core.grid_size` measures what
+    is written."""
     split = max(len(cells) - _BLOCK_VARIABLES, 0)
     tails = ["".join(combo) + closing for combo in product(*cells[split:])]
     starts = range(0, len(rows), len(tails))
@@ -300,11 +307,12 @@ def row_blocks(rows: Rows, cells: Sequence[Sequence[str]], value_of: Mapping[str
 def table_size(variables: Sequence[str], rows: int, header_size: int) -> int:
     """len(format_truth_table(...)) for a table of `rows` rows over
     `variables` under a header of `header_size` characters, without building
-    either: every cell and value symbol is one character, padded as there."""
-    if not variables:
-        return len("| ") + header_size + rows * len("\n| t")
-    cells = sum(max(len(name), 1) for name in variables) + len(variables) - 1
-    return cells + len(" | ") + header_size + rows * (len("\n | t") + cells)
+    either, for one-character value symbols: the header line is a line of
+    the cells under it without its line break, the header in its value's
+    place."""
+    cells = _text_cells(variables, ("t",))
+    return (grid_size(cells, "", "| ", [("", 1)]) + header_size
+            + grid_size(cells, "\n", "| ", [("t", rows)]))
 
 
 class Verdict(Record):

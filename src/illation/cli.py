@@ -6,11 +6,11 @@ define (e.g. a triadic implication); 4 exceeded size bounds: the variable
 limits, the enumerator's bounds, and the output bounds below.
 
 Formulas of any nesting depth are accepted.  What a command would print is
-bounded instead: its formula renderings, table rows (as text, or as JSON
-under `--format json`) and trace are measured before any text is built,
-and past OUTPUT_LIMIT characters the command exits 4 naming the predicted
-size; `parse --format json` also exits 4 when its `ast` would nest deeper
-than JSON_DEPTH_LIMIT.
+bounded instead: its formula renderings, table rows and trace are
+measured in the form `--format` asks for before any text is built, and
+past OUTPUT_LIMIT characters the command exits 4 naming the predicted
+size; `parse --format json` also exits 4, before rendering, when its
+`ast` would nest deeper than JSON_DEPTH_LIMIT.
 
 Output is deterministic: the same argv and input produce identical bytes.
 `--format json` emits one schema-stable JSON document per invocation,
@@ -29,15 +29,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .core import (CONNECTIVES, Binary, Connective, Constant, EnumerationBoundError,
                    Formula, MissingVariableError, Negation, TriadicValue, TruthValue,
                    UnsupportedConnectiveError, Variable, VariableLimitError, connective,
-                   fold, variables_of)
+                   fold, grid_size, variables_of)
 from .notation import (RESERVED_WORDS, Notation, ParseError, SyntaxConfig, display_width,
-                       pad_display, parse, render, rendered_size, value_symbols)
+                       pad_display, parse, render, rendered_size, rendered_sizes,
+                       value_symbols)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -85,25 +87,60 @@ def _json_document(path: str, payload: dict) -> str:
                       ensure_ascii=False, indent=2)
 
 
-def _json_table(path: str, payload: dict, rows) -> Iterator[str]:
-    """`_json_document(path, payload)` with the table's `rows` in the empty
-    "rows" list that ends `payload`, written in blocks by `row_blocks`.  Every
-    row's JSON has one shape and one-character values, so the pieces join to
-    the text `json.dumps` gives for the whole, and no row is built as a dict."""
-    import json
-    from .bivalent import row_blocks
+def _json_list(path: str, payload: dict, blocks: Iterator[str]) -> Iterator[str]:
+    """`_json_document(path, payload)` with `blocks` as the items of the
+    empty list that ends `payload`, the text `json.dumps` gives for the
+    whole, with no item built as a dict.  Every item starts with the comma
+    before it, which the first drops."""
     document = _json_document(path, payload)
-    yield document[:-len("]\n}")]
-    keys = [json.dumps(name, ensure_ascii=False) for name in rows.variables]
-    last = len(keys) - 1
-    cells = [[f'\n        {key}: "{value.value}"{"," * (i < last)}' for value in rows.cells]
-             for i, key in enumerate(keys)]
-    closing = ("\n      " if keys else "") + '},\n      "value": "'
-    value_of = {code: f'{value.value}"\n    }}' for code, value in rows.outcomes.items()}
-    blocks = row_blocks(rows, cells, value_of, ',\n    {\n      "assignment": {', closing)
-    yield next(blocks)[1:]  # the first row has no comma before it
+    yield document[:-len("]\n}")] + next(blocks)[1:]
     yield from blocks
     yield "\n  ]\n}"
+
+
+def _json_list_size(path: str, payload: dict, items: int) -> int:
+    """The length of `_json_list`'s text around blocks of `items` characters."""
+    return len(_json_document(path, payload)) + len("\n  ") - len(",") + items
+
+
+def _json_cells(keys: Sequence[str], values: Sequence[str]) -> list[list[str]]:
+    """The cells of JSON rows: per key, its item at each of `values`."""
+    last = len(keys) - 1
+    return [[f'\n        {key}{value}{"," * (i < last)}' for value in values]
+            for i, key in enumerate(keys)]
+
+
+def _json_rows(variables: Sequence[str], values: Sequence) -> tuple:
+    """A table's JSON rows as `row_blocks` lays them out: the cells at
+    `values`, the opening, the closing and each value's ending.  Every
+    value is one character, so every row's JSON has one length."""
+    import json
+    keys = [json.dumps(name, ensure_ascii=False) + ": " for name in variables]
+    cells = _json_cells(keys, [f'"{value.value}"' for value in values])
+    closing = ("\n      " if keys else "") + '},\n      "value": "'
+    endings = {value: f'{value.value}"\n    }}' for value in values}
+    return cells, ',\n    {\n      "assignment": {', closing, endings
+
+
+def _json_steps(width: int) -> tuple:
+    """A trace's JSON steps as `TraceSteps.rows` lays them out: the cells,
+    each note's ending, the opening and the closing."""
+    from .indirect import NOTES
+    cells = _json_cells([""] * width, ['"t"', '"f"', "null"])
+    endings = [f'{note}"\n    }}' for note in NOTES]
+    return cells, endings, ',\n    {\n      "values": [', '\n      ],\n      "note": "'
+
+
+def _blocks(lines: Iterable[list[str]]) -> Iterator[str]:
+    """The pieces of `lines` (each a list, which may be reused for the
+    next) joined in blocks of about 2**15 pieces."""
+    block: list[str] = []
+    for pieces in lines:
+        block += pieces
+        if len(block) >= 1 << 15:
+            yield "".join(block)
+            block.clear()
+    yield "".join(block)
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +249,18 @@ def _render_bounded(formula: Formula, config: SyntaxConfig) -> str:
 
 
 def _formula_json(formula: Formula) -> dict:
-    """The formula as nested dicts, refused when they would nest deeper than
-    JSON_DEPTH_LIMIT."""
-    def tree(node: Formula, *operands: tuple[dict, int]) -> tuple[dict, int]:
-        depth = 1 + max((below for _, below in operands), default=0)
+    """The formula as nested dicts."""
+    def tree(node: Formula, *operands: dict) -> dict:
         if isinstance(node, Variable):
-            return {"type": "variable", "name": node.name}, depth
+            return {"type": "variable", "name": node.name}
         if isinstance(node, Constant):
-            return {"type": "constant", "value": node.value.value}, depth
+            return {"type": "constant", "value": node.value.value}
         if isinstance(node, Negation):
-            return {"type": "negation", "operand": operands[0][0]}, depth
+            return {"type": "negation", "operand": operands[0]}
         return {"type": "binary", "connective": node.connective.name,
-                "left": operands[0][0], "right": operands[1][0]}, depth
+                "left": operands[0], "right": operands[1]}
 
-    json_tree, depth = fold(formula, tree)
-    if depth > JSON_DEPTH_LIMIT:
-        raise OutputLimitError(
-            f"the JSON ast would nest {depth} levels deep, over the limit of "
-            f"{JSON_DEPTH_LIMIT}")
-    return json_tree
+    return fold(formula, tree)
 
 
 def _assignment_json(assignment: dict | None) -> dict | None:
@@ -291,7 +321,14 @@ def _parse_values(text: str) -> tuple[TruthValue, ...]:
 @_leaf("parse", "parse a formula and echo its canonical form", *_FORMULA)
 def _cmd_parse(args) -> Output:
     formula, config = _parsed(args)
-    rendering = _render_bounded(formula, config)
+    _check_size(rendered_size(formula, config))
+    if args.format_ == "json":
+        depth = fold(formula, lambda node, *below: 1 + max(below, default=0))
+        if depth > JSON_DEPTH_LIMIT:
+            raise OutputLimitError(
+                f"the JSON ast would nest {depth} levels deep, over the limit of "
+                f"{JSON_DEPTH_LIMIT}")
+    rendering = render(formula, config)
     return Output(lambda: {
         "notation": config.notation.value,
         "encoding": config.encoding,
@@ -319,46 +356,49 @@ def _cmd_translate(args) -> Output:
     }, lambda: output)
 
 
-def _rows_json(rows: Iterable[tuple[dict, TruthValue | TriadicValue]]) -> list[dict]:
-    return [{"assignment": _assignment_json(a), "value": v.value} for a, v in rows]
-
-
-def _check_table_size(args: argparse.Namespace, formula: Formula, config: SyntaxConfig,
-                      rows: int, payload: Callable[[str, list], dict], row: tuple) -> None:
-    """Check the size of the table's output before any of the table or its
-    text is built: `rows` rows over the formula's variables under its
-    rendering.  `payload(rendering, rows)` gives the JSON payload; every
-    row's JSON is as long as the sample `row`'s, since every value is one
-    character, and no rendering holds a character JSON escapes."""
-    from .bivalent import table_size
-    header = rendered_size(formula, config)
-    if args.format_ == "json":
-        one, two = (len(_json_document(args.path, payload("", [row] * k)))
-                    for k in (1, 2))
-        _check_size(one + (rows - 1) * (two - one) + header)
+def _table(args: argparse.Namespace, formula: Formula, config: SyntaxConfig,
+           fields: dict, values: Sequence, build: Callable) -> Output:
+    """The Output of the table `build()` makes, once the size of the form
+    `--format` asks for is checked, before the table or its text is built,
+    from the cells its writer lays out: a row per assignment of `values` to
+    the variables of `fields`, under the formula's rendering.  `fields`
+    follow the rendering in the JSON payload, the empty "rows" last; no
+    rendering holds a character JSON escapes."""
+    from .bivalent import row_blocks, table_blocks, table_size
+    names, header = fields["variables"], rendered_size(formula, config)
+    count = len(values) ** len(names)
+    if args.format_ == "text":
+        _check_size(table_size(names, count, header))
     else:
-        _check_size(table_size(variables_of(formula), rows, header))
+        cells, opening, closing, endings = _json_rows(names, values)
+        items = grid_size(cells, opening, closing, [(endings[values[0]], count)])
+        _check_size(_json_list_size(args.path, {"rendering": "", **fields}, items) + header)
+    table = build()
+    rendering = render(formula, config)
+
+    def json_table() -> Iterator[str]:
+        rows = table.rows
+        cells, opening, closing, endings = _json_rows(rows.variables, rows.cells)
+        value_of = {code: endings[value] for code, value in rows.outcomes.items()}
+        return _json_list(args.path, {"rendering": rendering, **fields},
+                          row_blocks(rows, cells, value_of, opening, closing))
+
+    return Output(json_table,
+                  lambda: table_blocks(table, rendering, value_symbols(config.notation)))
 
 
 @_leaf("table", "full truth table",
        _arg("--row-order", choices=["t-first", "f-first"], default="t-first"),
        *_FORMULA)
 def _cmd_table(args) -> Output:
-    from .bivalent import DEFAULT_VARIABLE_LIMIT, table_blocks, truth_table
+    from .bivalent import DEFAULT_VARIABLE_LIMIT, truth_table
     formula, config = _parsed(args)
     names = variables_of(formula)
-
-    def payload(rendering: str, rows: Iterable) -> dict:
-        return {"rendering": rendering, "variables": names,
-                "row_order": args.row_order, "rows": _rows_json(rows)}
-
-    if len(names) <= DEFAULT_VARIABLE_LIMIT:  # past it, truth_table raises the limit error
-        _check_table_size(args, formula, config, 2 ** len(names), payload,
-                          (dict.fromkeys(names, TruthValue.T), TruthValue.T))
-    table = truth_table(formula, row_order=args.row_order)
-    rendering = render(formula, config)
-    return Output(lambda: _json_table(args.path, payload(rendering, ()), table.rows),
-                  lambda: table_blocks(table, rendering, value_symbols(config.notation)))
+    if len(names) > DEFAULT_VARIABLE_LIMIT:  # truth_table's error, before the size check
+        raise VariableLimitError(len(names), DEFAULT_VARIABLE_LIMIT)
+    return _table(args, formula, config,
+                  {"variables": names, "row_order": args.row_order, "rows": []},
+                  tuple(TruthValue), lambda: truth_table(formula, row_order=args.row_order))
 
 
 @_leaf("matrix", "two-by-two matrix of a binary connective",
@@ -429,9 +469,10 @@ def _cmd_entails(args) -> Output:
 
 @_leaf("indirect", "abbreviated truth table with trace", *_FORMULA)
 def _cmd_indirect(args) -> Output:
-    from .indirect import indirect_check, render_trace, trace_size
+    from .indirect import indirect_check, trace_lines, trace_size
     formula, config = _parsed(args)
     result = indirect_check(formula)
+    trace = result.trace
     lines = ["outcome: " + result.outcome]
     if result.countermodel is not None:
         symbols = value_symbols(config.notation)
@@ -440,25 +481,28 @@ def _cmd_indirect(args) -> Output:
         if result.unconstrained:
             lines.append("unconstrained: " + ", ".join(result.unconstrained))
     head = "\n".join([*lines, "", ""])
-    # The text holds every column's rendering and a cell per column and step;
-    # the JSON form holds the same, so one prediction bounds both.
-    _check_size(len(head) + trace_size(result.trace, config))
 
-    return Output(lambda: {
-        "rendering": render(formula, config),
-        "outcome": result.outcome,
-        "countermodel": _assignment_json(result.countermodel),
-        "unconstrained": list(result.unconstrained),
-        "columns": [render(c, config) for c in result.trace.columns],
-        "steps": [
-            {
-                "values": [v.value if v is not None else None
-                           for v in step.values],
-                "note": step.note,
-            }
-            for step in result.trace.steps
-        ],
-    }, lambda: head + render_trace(result.trace, config))
+    def payload(columns: list[str]) -> dict:
+        return {"rendering": columns[-1], "outcome": result.outcome,
+                "countermodel": _assignment_json(result.countermodel),
+                "unconstrained": list(result.unconstrained), "columns": columns,
+                "steps": []}
+
+    steps = _json_steps(trace.steps.width)
+    lengths = list(rendered_sizes(formula, config).values())  # the columns'
+    if args.format_ == "json":
+        _check_size(_json_list_size(args.path, payload([""] * len(lengths)),
+                                    trace.steps.rows_size(*steps)) + sum(lengths) + lengths[-1])
+    else:
+        # The header holds every column's rendering: a trace whose renderings
+        # alone pass the limit is refused naming their length, before any
+        # cell as wide as one is laid out.
+        _check_size(len(head) + sum(lengths))
+        _check_size(len(head) + trace_size(trace, config))
+    return Output(lambda: _json_list(
+        args.path, payload([render(column, config) for column in trace.columns]),
+        _blocks(trace.steps.rows(*steps))),
+        lambda: _blocks(chain([[head]], trace_lines(trace, config))))
 
 
 _TRIADIC_WORDS = {"v": TriadicValue.V, "l": TriadicValue.L, "f": TriadicValue.F}
@@ -495,21 +539,11 @@ def _cmd_triadic_eval(args) -> Output:
 
 @_leaf("triadic table", "full three-valued table", *_FORMULA)
 def _cmd_triadic_table(args) -> Output:
-    from .bivalent import table_blocks
     from .trivalent import is_tautology3, truth_table3
     formula, config = _parsed(args)
     is_tautology3(formula)  # raises what truth_table3 would, before the size check
-    names = variables_of(formula)
-
-    def payload(rendering: str, rows: Iterable) -> dict:
-        return {"rendering": rendering, "variables": names, "rows": _rows_json(rows)}
-
-    _check_table_size(args, formula, config, 3 ** len(names), payload,
-                      (dict.fromkeys(names, TriadicValue.V), TriadicValue.V))
-    table = truth_table3(formula)
-    rendering = render(formula, config)
-    return Output(lambda: _json_table(args.path, payload(rendering, ()), table.rows),
-                  lambda: table_blocks(table, rendering))
+    return _table(args, formula, config, {"variables": variables_of(formula), "rows": []},
+                  tuple(TriadicValue), lambda: truth_table3(formula))
 
 
 @_leaf("triadic check-restriction",
@@ -641,31 +675,12 @@ def _cmd_connectives_enumerate(args) -> Output:
     summary.append(f"total: generated={result.total_generated} "
                    f"tautologies={result.total_tautologies} "
                    f"distinct={result.total_distinct}")
-    emitted = ()
-    if not args.count_only and spec.emit_limit != 0:
-        # Emission runs in slot order, so the counts say how many of each.
-        left, size = spec.emit_limit, len("\n".join(summary))
-        for s, longest in zip(result.per_slot,
-                              _longest_renderings(spec.max_connective_slots, config)):
-            drawn = min(left, s.tautologies)
-            size += drawn * (longest + 1)
-            left -= drawn
-        _check_size(size)
-        # The counts are in hand: draw the emission without counting again.
-        emitted = emit_tautologies(spec)
 
-    return Output(lambda: {
+    document = {
         "max_variables": spec.max_variables,
         "max_connective_slots": spec.max_connective_slots,
         "shape_policy": spec.shape_policy,
-        "emitted": [
-            {
-                "rendering": render(e.formula, config),
-                "connectives": [c.name for c in e.connectives],
-                "slots": e.slots,
-            }
-            for e in emitted
-        ],
+        "emitted": [],
         "per_slot": [
             {"slots": s.slots, "generated": s.generated,
              "tautologies": s.tautologies, "distinct": s.distinct}
@@ -674,8 +689,37 @@ def _cmd_connectives_enumerate(args) -> Output:
         "total_generated": result.total_generated,
         "total_tautologies": result.total_tautologies,
         "total_distinct": result.total_distinct,
-    }, lambda: "\n".join([*(render(e.formula, config) for e in emitted),
-                          *summary]))
+    }
+    emitted = ()
+    if not args.count_only and spec.emit_limit != 0:
+        # Emission runs in slot order, so the counts say how many of each.
+        # A line takes at most its slot count's longest rendering and a line
+        # break; an entry of the JSON, that rendering, as many of the longest
+        # connective name as it has slots, and at most the first entry's
+        # shape (a later one's is two characters shorter).
+        if args.format_ == "json":
+            size = empty = len(_json_document(args.path, document))
+        else:
+            size = len("\n".join(summary))
+        name, left = max(len(c.name) for c in CONNECTIVES), spec.emit_limit
+        for s, longest in zip(result.per_slot,
+                              _longest_renderings(spec.max_connective_slots, config)):
+            drawn, line = min(left, s.tautologies), longest + 1
+            if args.format_ == "json":
+                entry = {"rendering": "", "connectives": [""] * s.slots, "slots": s.slots}
+                shape = len(_json_document(args.path, {**document, "emitted": [entry]}))
+                line = longest + s.slots * name + shape - empty
+            size += drawn * line
+            left -= drawn
+        _check_size(size)
+        # The counts are in hand: draw the emission without counting again.
+        emitted = emit_tautologies(spec)
+
+    return Output(lambda: {**document, "emitted": [
+        {"rendering": render(e.formula, config),
+         "connectives": [c.name for c in e.connectives], "slots": e.slots}
+        for e in emitted
+    ]}, lambda: "\n".join([*(render(e.formula, config) for e in emitted), *summary]))
 
 
 @_leaf("syllogism render", "render one categorical form",

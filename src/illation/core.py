@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Callable, Container
+from collections.abc import Callable, Container, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -524,6 +524,21 @@ def subformulas(formula: Formula) -> list[Formula]:
             key = node
         firsts[id(node)] = id(first.setdefault(key, node))
     return list(first.values())
+
+
+def grid_size(cells: Sequence[Sequence[str]], opening: str, closing: str,
+              endings: Iterable[tuple[str, int]], dashes: int = 0) -> int:
+    """The length of the rows a grid writer lays out (`bivalent.row_blocks`,
+    `indirect.TraceSteps.rows`): for each (ending, count) of `endings`,
+    `count` rows of `opening`, one of cells[j] per column j, `closing` and
+    `ending`.  A column's cells are as long as its first, but for the
+    `dashes` cells that are its last, each longer by one amount in every
+    column (a trace's JSON `null` against `"t"`)."""
+    line = len(opening) + sum(len(column[0]) for column in cells) + len(closing)
+    size = sum((line + len(ending)) * count for ending, count in endings)
+    if dashes:
+        size += dashes * (len(cells[0][-1]) - len(cells[0][0]))
+    return size
 
 
 # Errors the evaluators and the enumerator raise.  They live here, beside the

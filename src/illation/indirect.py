@@ -35,10 +35,11 @@ from array import array
 from collections.abc import Iterator, Sequence
 
 from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
-                   Negation, Record, TruthValue, Variable, subformulas)
+                   Negation, Record, TruthValue, Variable, grid_size, subformulas)
 from .notation import SyntaxConfig, _sizes, display_width, pad_display, render, value_symbols
 
-_NOTES = NOTE_ROOT, NOTE_FORCED, NOTE_BRANCH_OPEN, NOTE_BRANCH_CLOSED = (
+#: The steps' notes, indexed by the note codes a trace keeps.
+NOTES = NOTE_ROOT, NOTE_FORCED, NOTE_BRANCH_OPEN, NOTE_BRANCH_CLOSED = (
     "root-assumption", "forced", "branch-open", "branch-closed")
 _ROOT, _FORCED, _OPEN, _CLOSED = range(4)
 _VALUES = (TruthValue.T, TruthValue.F)  # indexed by a binding's bit
@@ -82,14 +83,15 @@ class TraceSteps(Record, Sequence):
     def __iter__(self) -> Iterator[TraceStep]:
         row: list[TruthValue | None] = [None] * self.width
         for note in self._replay(row, _VALUES * self.width):
-            yield TraceStep(tuple(row), note)
+            yield TraceStep(tuple(row), NOTES[note])
 
     def __reversed__(self) -> Iterator[TraceStep]:
         return reversed(tuple(self))
 
-    def _replay(self, row: list, cells: Sequence) -> Iterator[str]:
-        """Replay the steps into `row`, yielding each step's note once its row
-        is current: code c shows cells[c], an unbound column its first cell."""
+    def _replay(self, row: list, cells: Sequence) -> Iterator[int]:
+        """Replay the steps into `row`, yielding each step's note code once
+        its row is current: code c shows cells[c], an unbound column its
+        first cell."""
         dashes = row[:]
         trail: list[int] = []
         start = 0
@@ -102,7 +104,33 @@ class TraceSteps(Record, Sequence):
                 row[code >> 1] = cells[code]
             trail += added
             start = end
-            yield _NOTES[note]
+            yield note
+
+    def rows(self, cells: Sequence[Sequence[str]], endings: Sequence[str],
+             opening: str, closing: str) -> Iterator[list[str]]:
+        """Each step's line in pieces: `opening`, column j's cells[j][bit]
+        where the step binds it to that bit's value, else cells[j][2] (its
+        dash), `closing`, then endings[the step's note code], in width + 1
+        pieces; one list holds every line, so take its pieces before the next."""
+        first, *rest = cells
+        columns = [[opening + cell for cell in first], *rest]
+        row = [dash for _, _, dash in columns] + [""]
+        codes = [cell for t, f, _ in columns for cell in (t, f)]
+        endings = [closing + ending for ending in endings]
+        for note in self._replay(row, codes):
+            row[-1] = endings[note]
+            yield row
+
+    def rows_size(self, cells: Sequence[Sequence[str]], endings: Sequence[str],
+                  opening: str, closing: str) -> int:
+        """The length of what `rows` writes, from the arrays without a replay:
+        each note's line count, and the dashes, every column of every step
+        but the ones its trail binds (its base and the codes it added)."""
+        notes = self.notes
+        bound = sum(self.bases) + sum(self.ends[-1:])
+        return grid_size(cells, opening, closing,
+                         [(ending, notes.count(code)) for code, ending in enumerate(endings)],
+                         len(notes) * self.width - bound)
 
 
 class IndirectTrace(Record):
@@ -260,36 +288,43 @@ def indirect_check(formula: Formula) -> IndirectResult:
     return IndirectResult("falsifiable", countermodel, unconstrained, trace)
 
 
+def _text_cells(widths: Sequence[int], config: SyntaxConfig) -> list[list[str]]:
+    """Each column's t, f and dash cells in a trace's text, padded to its
+    width and each with the two spaces after it."""
+    symbols = (*value_symbols(config.notation), "-")
+    return [[pad_display(s, w) + "  " for s in symbols] for w in widths]
+
+
+def trace_lines(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()
+                ) -> Iterator[list[str]]:
+    """`render_trace`'s text as lists of pieces: the header line, then each
+    step's line, which starts with its line break.  The steps' list is the
+    one `TraceSteps.rows` reuses: take its pieces before the next."""
+    headers = [render(column, config) for column in trace.columns]
+    widths = [max(display_width(h), 1) for h in headers]
+    yield ["  ".join(pad_display(h, w) for h, w in zip(headers, widths)) + "  | note"]
+    yield from trace.steps.rows(_text_cells(widths, config), NOTES, "\n", "| ")
+
+
 def render_trace(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> str:
     """Columnar text form of a trace: one header of subformula renderings,
     one line per step, dashes for unconstrained columns, the note last."""
-    t_sym, f_sym = value_symbols(config.notation)
-    headers = [render(column, config) for column in trace.columns]
-    widths = [max(display_width(h), 1) for h in headers]
-    # Cells carry their separator, so the steps' rows make one join.
-    padded = [[pad_display(s, w) + "  " for s in (t_sym, f_sym, "-")] for w in widths]
-    padded[0] = ["\n" + cell for cell in padded[0]]  # each line starts at column 0
-    cells = [cell for t, f, _ in padded for cell in (t, f)]
-    row = [dash for _, _, dash in padded] + [""]  # the last cell is the note's
-    parts = ["  ".join(pad_display(h, w) for h, w in zip(headers, widths)) + "  | note"]
-    for note in trace.steps._replay(row, cells):
-        row[-1] = "| " + note
-        parts += row
+    parts: list[str] = []
+    for pieces in trace_lines(trace, config):
+        parts += pieces
     return "".join(parts)
 
 
 def trace_size(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> int:
-    """len(render_trace(trace, config)), found without building the text,
-    from each column's rendered length and width and the steps' notes."""
+    """len(render_trace(trace, config)), found without building the text:
+    each column's rendered length and width give its cells, and the header
+    pads each rendering as the cells below it are padded."""
     # Each column's rendered length and width, in column order: every column
     # is a node object of the whole formula, the last column.
     sizes = _sizes(trace.columns[-1], config)
     lengths, widths = zip(*(sizes[id(column)] for column in trace.columns))
-    # The header pads each rendering to its width (at least 1) and ends in
-    # "  | note"; a step's line is a line break, a cell of width + 2 per
-    # column, "| " and the note.
-    cells = sum(max(width, 1) + 2 for width in widths)
-    header = cells + sum(lengths) - sum(widths) + len("| note")
-    notes = trace.steps.notes
-    return header + len(notes) * (1 + cells + len("| ")) + sum(
-        len(note) * notes.count(code) for code, note in enumerate(_NOTES))
+    cells = _text_cells([max(width, 1) for width in widths], config)
+    # Each header cell is as long as the cells below it plus its rendering's
+    # length over its width, and the header ends in "| note".
+    header = grid_size(cells, "", "| ", [("note", 1)]) + sum(lengths) - sum(widths)
+    return header + trace.steps.rows_size(cells, NOTES, "\n", "| ")

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 import illation
 from illation import atlas, bivalent, cli, indirect, trivalent
-from illation.core import (CONNECTIVES, Binary, Negation, Variable, flatten, implies,
-                           variables_of)
+from illation.core import (CONNECTIVES, Binary, Negation, TruthValue, Variable, flatten,
+                           grid_size, implies, variables_of)
 from illation.indirect import indirect_check, render_trace, trace_size
 from illation.notation import (RESERVED_WORDS, Notation, SyntaxConfig, parse, render,
-                               rendered_sizes)
+                               rendered_sizes, value_symbols)
 
 from helpers import random_formula, run_cli
 
@@ -212,6 +212,73 @@ class TestJsonTableBlocks:
             assert (code, err) == (0, "")
             same = out == _whole_json_table(["triadic", "table"], formula, config, rows)
             assert same, argv
+
+
+def _whole_json_trace(argv: list[str], formula, config: SyntaxConfig) -> str:
+    """What `indirect --format json` printed when it built every step as a
+    dict and dumped the document at once."""
+    result = indirect_check(formula)
+    countermodel = result.countermodel
+    steps = [{"values": [v.value if v is not None else None for v in step.values],
+              "note": step.note} for step in result.trace.steps]
+    return json.dumps({"schema": 1, "command": " ".join(argv),
+                       "rendering": render(formula, config),
+                       "outcome": result.outcome,
+                       "countermodel": None if countermodel is None else {
+                           name: v.value for name, v in countermodel.items()},
+                       "unconstrained": list(result.unconstrained),
+                       "columns": [render(c, config) for c in result.trace.columns],
+                       "steps": steps},
+                      ensure_ascii=False, indent=2) + "\n"
+
+
+class TestJsonTraceBlocks:
+    """`indirect --format json` writes its steps in blocks, the same bytes as
+    `json.dumps` of the whole document, and `grid_size` gives the length of
+    every table and trace form the writers lay out."""
+
+    PAIRS = [(n.value, e) for n in Notation for e in ("unicode", "ascii")]
+
+    def cases(self):
+        """(the formula, its config, the CLI arguments that give both) over
+        every notation-encoding pair, tautologies and falsifiable formulas."""
+        rng = random.Random(1884)
+        for i in range(40):
+            formula = random_formula(rng, max_depth=4, connective_names=ALL_CONNECTIVES)
+            if i % 3 == 0:
+                formula = implies(formula, formula)
+            notation, encoding = self.PAIRS[i % len(self.PAIRS)]
+            config = SyntaxConfig(Notation(notation), encoding)
+            rendering = render(formula, config)
+            yield parse(rendering, config), config, [
+                "--notation", notation, "--encoding", encoding, "--", rendering]
+
+    def test_trace(self):
+        outcomes = set()
+        for formula, config, argv in self.cases():
+            code, out, err = run_cli("indirect", "--format", "json", *argv)
+            assert (code, err) == (0, "")
+            assert out == _whole_json_trace(["indirect"], formula, config), argv
+            outcomes.add(indirect_check(formula).outcome)
+        assert outcomes == {"tautology", "falsifiable"}
+
+    def test_sizes_are_the_lengths(self):
+        for formula, config, _ in self.cases():
+            table = bivalent.truth_table(formula)
+            rows, rendering = table.rows, render(formula, config)
+            symbols = value_symbols(config.notation)
+            assert bivalent.table_size(rows.variables, len(rows), len(rendering)) == len(
+                bivalent.format_truth_table(table, rendering, symbols))
+            cells, opening, closing, endings = cli._json_rows(rows.variables, rows.cells)
+            value_of = {code: endings[v] for code, v in rows.outcomes.items()}
+            written = "".join(bivalent.row_blocks(rows, cells, value_of, opening, closing))
+            assert grid_size(cells, opening, closing,
+                             [(endings[TruthValue.T], len(rows))]) == len(written)
+            trace = indirect_check(formula).trace
+            assert trace_size(trace, config) == len(render_trace(trace, config))
+            layout = cli._json_steps(trace.steps.width)
+            written = [piece for pieces in trace.steps.rows(*layout) for piece in pieces]
+            assert trace.steps.rows_size(*layout) == len("".join(written))
 
 
 class TestCheck:
@@ -664,8 +731,8 @@ class TestOutputBound:
     PAIRS = [(n.value, e) for n in Notation for e in ("unicode", "ascii")]
 
     def test_prediction_is_the_output_length(self, monkeypatch):
-        """With the limit one below a command's text, the command exits 4
-        naming exactly the text's length; at the text's length it prints."""
+        """With the limit one below a command's text, or its JSON, the
+        command exits 4 naming exactly that length; at the length it prints."""
         rng = random.Random(1902)
         for i in range(24):
             formula = random_formula(rng, max_depth=4, connective_names=ALL_CONNECTIVES)
@@ -674,7 +741,8 @@ class TestOutputBound:
             target = self.PAIRS[(i + 3) % len(self.PAIRS)][0]
             for argv in (["parse", "--notation", notation],
                          ["translate", "--from", notation, "--to", target],
-                         ["indirect", "--notation", notation]):
+                         ["indirect", "--notation", notation],
+                         ["indirect", "--notation", notation, "--format", "json"]):
                 argv += ["--encoding", encoding, "--", text]
                 monkeypatch.setattr(cli, "OUTPUT_LIMIT", 64 * 2**20)
                 code, out, err = run_cli(*argv)
@@ -796,9 +864,10 @@ class TestOutputBound:
     def test_enumeration_bound_covers_the_output(self, monkeypatch):
         """The enumerator's prediction is an upper bound; a limit at the
         actual length still prints."""
-        for notation in ("peirce", "modern"):
+        for notation, form in (("peirce", "text"), ("modern", "text"),
+                               ("peirce", "json"), ("modern", "json")):
             argv = ("connectives", "enumerate", "--notation", notation, "--vars", "2",
-                    "--slots", "2", "--limit", "300")
+                    "--slots", "2", "--limit", "300", "--format", form)
             monkeypatch.setattr(cli, "OUTPUT_LIMIT", 64 * 2**20)
             code, out, _ = run_cli(*argv)
             assert code == 0
@@ -819,6 +888,12 @@ class TestOutputBound:
             for slots, formulas in by_slots.items():
                 longest = max(len(render(f, config)) for f in formulas)
                 assert longest <= bounds[slots]
+
+    def test_json_depth_is_checked_before_rendering(self, nothing_rendered):
+        code, out, err = run_cli("parse", "--format", "json", "!" * 600 + "a")
+        assert (code, out) == (4, "")
+        assert err == (f"error: the JSON ast would nest 601 levels deep, over the "
+                       f"limit of {cli.JSON_DEPTH_LIMIT}\n")
 
     def test_json_ast_depth_is_bounded(self):
         deepest = "!" * (cli.JSON_DEPTH_LIMIT - 1) + "a"
