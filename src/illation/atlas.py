@@ -13,8 +13,8 @@ the descriptor line is the precise statement.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from itertools import islice, product
-from typing import Callable, Iterator, Sequence, TypeVar
 
 from .bivalent import MatrixTable, apply_mask, variable_masks
 from .core import (
@@ -168,7 +168,6 @@ class EnumerationSpec(Record):
 
 # A shape is () for a leaf or (left_shape, right_shape) for a connective slot.
 _Shape = tuple
-_V = TypeVar("_V")
 
 
 def _splits(policy: str, slots: int) -> range:
@@ -185,8 +184,8 @@ def _shapes_for(policy: str, slots: int) -> list[_Shape]:
             for r in _shapes_for(policy, slots - 1 - i)]
 
 
-def _fold(shape: _Shape, conns: Iterator[Connective], leaf: Callable[[], _V],
-          node: Callable[[Connective, _V, _V], _V]) -> _V:
+def _fold(shape: _Shape, conns: Iterator[Connective], leaf: Callable[[], object],
+          node: Callable[[Connective, object, object], object]) -> object:
     """Walk a filled shape: leaves left to right, connectives in pre-order."""
     if shape == ():
         return leaf()

@@ -21,7 +21,7 @@ and arguments with `_leaf`, and `_parser` builds the argparse tree from the
 table once per process.  A command loads only what it uses: this module
 imports `core` and `notation`, each handler imports what it calls from the
 other submodules in its first line, and `main` imports `json` only for
-`--format json`.
+`--format json`.  No command imports `dataclasses`, `inspect` or `typing`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .core import (CONNECTIVES, Binary, Connective, Constant, EnumerationBoundError,
@@ -69,15 +69,17 @@ def _check_size(size: int) -> None:
             f"the output would take {size} characters, over the limit of {OUTPUT_LIMIT}")
 
 
-class Output(NamedTuple):
+class Output:
     """A handler's result. Only the form `--format` asks for is built, so a
     text run never assembles JSON rows and a JSON run never lays out text.
     `payload` gives the JSON payload, or the whole document in pieces, and
     `text` the text, or its pieces; pieces are written as they come."""
 
-    payload: Callable[[], dict | Iterable[str]]
-    text: Callable[[], str | Iterable[str]]
-    code: int = EXIT_OK
+    __slots__ = ("payload", "text", "code")
+
+    def __init__(self, payload: Callable[[], dict | Iterable[str]],
+                 text: Callable[[], str | Iterable[str]], code: int = EXIT_OK) -> None:
+        self.payload, self.text, self.code = payload, text, code
 
 
 def _json_document(path: str, payload: dict) -> str:

@@ -21,11 +21,6 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Callable, Container, Iterable, Sequence
-from dataclasses import dataclass
-from typing import TypeVar
-
-
-T = TypeVar("T")
 
 
 class TruthValue(enum.Enum):
@@ -84,8 +79,8 @@ class Record:
     assignment or deletion.  Defining a record compiles no code, where a
     dataclass compiles six methods.  A method a subclass defines wins, and
     `functools.cached_property` works, as both write the instance dict.
-    Only the formula nodes are dataclasses, so `dataclasses.fields` and
-    `replace` apply to them alone."""
+    Only the formula nodes answer as dataclasses, so `dataclasses.fields`
+    and `replace` apply to them alone."""
 
     __match_args__: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
@@ -282,12 +277,26 @@ class Formula:
     A node's hash is computed once, at construction, from its operands'
     hashes, and `==`, `repr`, copying and pickling each go over the tree
     with an explicit stack or a flat list, so none of them recurses however
-    deep the tree."""
+    deep the tree.  Nodes are frozen: assignment and deletion raise
+    `dataclasses.FrozenInstanceError`, as on a frozen dataclass."""
 
     __slots__ = ()
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, /, **changes) -> Formula:
+        # `copy.replace` (Python 3.13) of a node, as of a dataclass.
+        from dataclasses import replace
+        return replace(self, **changes)
 
     def __reduce__(self):
         # The node objects as a flat post-order list, operands named by
@@ -319,7 +328,7 @@ class Formula:
                 continue
             if type(a) is not type(b) or a._hash != b._hash:
                 return False
-            for name in a.__match_args__:  # the dataclass fields
+            for name in a.__match_args__:  # the fields
                 x, y = getattr(a, name), getattr(b, name)
                 if isinstance(x, Formula):
                     pairs.append((x, y))
@@ -365,13 +374,46 @@ def _rebuild(plan: list[tuple]) -> Formula:
     return nodes[-1]
 
 
-# The nodes are frozen dataclasses with hand-written constructors: each sets
-# its slots through their descriptors (which is what object.__setattr__
-# would reach, without the lookup), `_hash` included.
+class _Twin:
+    """`__dataclass_fields__` or `__dataclass_params__`, the two attributes
+    by which `dataclasses` knows a dataclass, on a formula node class.  The
+    first read of either makes the frozen dataclass of the class's annotated
+    fields and puts that twin's two attributes on the class in place of the
+    descriptors, so only code that asks for a node's fields imports
+    `dataclasses`."""
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, node: Formula | None, kind: type) -> object:
+        from dataclasses import dataclass
+        twin = dataclass(frozen=True, eq=False, repr=False, init=False)(
+            type(kind.__name__, (), {"__annotations__": vars(kind)["__annotations__"],
+                                     "__module__": kind.__module__}))
+        kind.__dataclass_fields__ = twin.__dataclass_fields__
+        kind.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(twin, self.name)
+
+
+def _dataclass_view(kind: type) -> type:
+    """The node class `kind`, answering `dataclasses.fields`, `replace`,
+    `asdict` and `is_dataclass` as the frozen dataclass of its fields."""
+    kind.__dataclass_fields__ = _Twin("__dataclass_fields__")
+    kind.__dataclass_params__ = _Twin("__dataclass_params__")
+    return kind
+
+
+# The nodes are plain slotted classes with hand-written constructors, each
+# setting its slots through their descriptors (which is what
+# object.__setattr__ would reach, without the lookup), `_hash` included.
+# Their fields are their annotations, in `__match_args__` order.
+
+@_dataclass_view
 class Constant(Formula):
+    """The truth value `value` as a formula."""
+
     __slots__ = ("value", "_hash")
+    __match_args__ = ("value",)
     value: TruthValue
 
     def __init__(self, value: TruthValue) -> None:
@@ -379,9 +421,12 @@ class Constant(Formula):
         _set_constant_hash(self, hash((Constant, value)))
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
+@_dataclass_view
 class Variable(Formula):
+    """A propositional variable."""
+
     __slots__ = ("name", "_hash")
+    __match_args__ = ("name",)
     name: str
 
     def __init__(self, name: str) -> None:
@@ -394,9 +439,12 @@ class Variable(Formula):
         _set_variable_hash(self, hash((Variable, name)))
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
+@_dataclass_view
 class Negation(Formula):
+    """The negation of `operand`."""
+
     __slots__ = ("operand", "_hash")
+    __match_args__ = ("operand",)
     operand: Formula
 
     def __init__(self, operand: Formula) -> None:
@@ -404,9 +452,12 @@ class Negation(Formula):
         _set_negation_hash(self, hash((Negation, operand._hash)))
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
+@_dataclass_view
 class Binary(Formula):
+    """`connective` applied to `left` and `right`."""
+
     __slots__ = ("connective", "left", "right", "_hash")
+    __match_args__ = ("connective", "left", "right")
     connective: Connective
     left: Formula
     right: Formula
@@ -478,8 +529,8 @@ def flatten(formula: Formula, known: Container[int] = ()) -> tuple[list[Formula]
     return nodes, list(names)
 
 
-def fold(formula: Formula, combine: Callable[..., T],
-         values: dict[int, T] | None = None) -> T:
+def fold(formula: Formula, combine: Callable[..., object],
+         values: dict[int, object] | None = None) -> object:
     """The formula's value, where `combine(node, *operand_values)` gives each
     node's value from its operands' values, in `flatten`'s post-order: an
     equal copy of a subformula gets a value of its own.  `values` holds each

@@ -49,8 +49,8 @@ from __future__ import annotations
 import enum
 import re
 import unicodedata
+from collections.abc import Callable
 from operator import length_hint
-from typing import Callable, TypeVar
 
 from .core import (
     CONJUNCTION,
@@ -70,8 +70,6 @@ from .core import (
     fold,
     subformulas,
 )
-
-T = TypeVar("T")
 
 MACRON = "̄"  # combining overbar used by peirce unicode negation
 PRIME = "′"
@@ -404,14 +402,14 @@ _NEGATED_EXPANSIONS = frozenset(
 )
 
 
-def _expanded(combine: Callable[..., T], notation: Notation) -> Callable[..., T]:
+def _expanded(combine: Callable[..., object], notation: Notation) -> Callable[..., object]:
     """`combine` over the formula as expanded for `notation`, to `fold` with:
     a connective the notation lacks takes the value of its expansion, folded
     over the operands' values.  The expansion is built from the operand
     objects themselves, so their `id`s stay keys for the fold under it."""
     primitives = PRIMITIVE_CONNECTIVES[notation]
 
-    def value(node: Formula, *operands: T) -> T:
+    def value(node: Formula, *operands: object) -> object:
         if type(node) is Binary and node.connective.name not in primitives:
             return fold(EXPANSIONS[node.connective.name](node.left, node.right), combine,
                         {id(node.left): operands[0], id(node.right): operands[1]})

@@ -19,9 +19,9 @@ the barred Z gives (a.V & b.V, a.F | b.F).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
 
 from .bivalent import Rows, _check_kind, _check_limit
 from .core import (

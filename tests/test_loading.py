@@ -42,11 +42,12 @@ SUBMODULES = ("core", "notation", "bivalent", "indirect", "trivalent", "atlas",
               "syllogistic")
 
 
-def fresh(code: str):
-    """Run `code` in a new interpreter; it ends by printing one JSON line."""
+def fresh(code: str, *flags: str):
+    """Run `code` in a new interpreter started with `flags`; it ends by
+    printing one JSON line."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -144,3 +145,70 @@ def test_cli_does_not_import_dataclasses():
                 for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "dataclasses" not in imported
+
+
+# The standard modules a command does without: `dataclasses` (which loads
+# `inspect`) and `typing`.  `-S` keeps `site` and its `.pth` hooks from
+# loading them first.
+HEAVY = ("dataclasses", "inspect", "typing")
+
+
+def test_commands_load_no_dataclasses_inspect_or_typing():
+    argvs = [["check", "a -> a"], ["table", "--format", "json", "a & b"],
+             ["indirect", "--format", "json", "a -> b"],
+             ["triadic", "eval", "a", "--assign", "a=L"],
+             ["connectives", "enumerate", "--count-only"],
+             ["syllogism", "render", "A", "x", "y"]]
+    run = f"""
+import contextlib, io, json, sys
+from illation import cli
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps([name for name in {HEAVY!r} if name in sys.modules]))
+"""
+    assert fresh(run, "-S") == []
+
+
+def test_the_nodes_lend_their_dataclass_view_on_first_use():
+    probe = """
+import copy, json, sys
+from illation.core import Binary, Formula, Variable
+from illation.notation import parse
+unloaded = "dataclasses" not in sys.modules
+import dataclasses
+found = {"unloaded": unloaded,
+         "fields": [f.name for f in dataclasses.fields(Binary)]}
+formula = parse("a -> !b")
+found["is_dataclass"] = [dataclasses.is_dataclass(x) for x in (Binary, formula, Formula)]
+found["asdict"] = repr(dataclasses.asdict(formula))
+found["astuple"] = repr(dataclasses.astuple(formula))
+try:
+    dataclasses.replace(Variable("a"), name="a b")
+except ValueError:
+    found["replace"] = "ValueError"
+try:
+    delattr(formula, "left")
+except dataclasses.FrozenInstanceError as exc:
+    found["delattr"] = str(exc)
+if sys.version_info >= (3, 13):
+    changed = copy.replace(formula, right=Variable("c"))
+    found["copy.replace"] = [repr(changed), changed == parse("a -> c"),
+                             hash(changed) == hash(parse("a -> c"))]
+print(json.dumps(found))
+"""
+    from illation.core import IMPLICATION
+
+    found = fresh(probe, "-S")
+    assert found.pop("unloaded")
+    assert found.pop("fields") == ["connective", "left", "right"]
+    assert found.pop("is_dataclass") == [True, True, False]
+    assert found.pop("asdict") == repr({"connective": IMPLICATION, "left": {"name": "a"},
+                                        "right": {"operand": {"name": "b"}}})
+    assert found.pop("astuple") == repr((IMPLICATION, ("a",), (("b",),)))
+    assert found.pop("replace") == "ValueError"
+    assert found.pop("delattr") == "cannot delete field 'left'"
+    if sys.version_info >= (3, 13):
+        text, equal, rehashed = found.pop("copy.replace")
+        assert text.endswith("right=Variable(name='c'))") and equal and rehashed
+    assert found == {}
