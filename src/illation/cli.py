@@ -9,8 +9,10 @@ Formulas of any nesting depth are accepted.  What a command would print is
 bounded instead: its formula renderings, table rows and trace are
 measured in the form `--format` asks for before any text is built, and
 past OUTPUT_LIMIT characters the command exits 4 naming the predicted
-size; `parse --format json` also exits 4, before rendering, when its
-`ast` would nest deeper than JSON_DEPTH_LIMIT.
+size; `indirect` stops its search once its steps' shortest lines alone
+would pass the limit, naming that lower bound, and `parse --format json`
+also exits 4, before rendering, when its `ast` would nest deeper than
+JSON_DEPTH_LIMIT.
 
 Output is deterministic: the same argv and input produce identical bytes.
 `--format json` emits one schema-stable JSON document per invocation,
@@ -21,7 +23,8 @@ and arguments with `_leaf`, and `_parser` builds the argparse tree from the
 table once per process.  A command loads only what it uses: this module
 imports `core` and `notation`, each handler imports what it calls from the
 other submodules in its first line, and `main` imports `json` only for
-`--format json`.  No command imports `dataclasses`, `inspect` or `typing`.
+`--format json`.  No command imports `dataclasses`, `inspect` or `typing`,
+nor `shutil`, which argparse's formatter loads only to lay out help.
 """
 
 from __future__ import annotations
@@ -63,10 +66,12 @@ class OutputLimitError(Exception):
     """An output over one of the bounds above, refused before it is built."""
 
 
-def _check_size(size: int) -> None:
+def _check_size(size: int, bound: str = "") -> None:
+    """Refuse an output of `size` characters, or of more than `size` with
+    `bound` "more than ", past OUTPUT_LIMIT."""
     if size > OUTPUT_LIMIT:
-        raise OutputLimitError(
-            f"the output would take {size} characters, over the limit of {OUTPUT_LIMIT}")
+        raise OutputLimitError(f"the output would take {bound}{size} characters, "
+                               f"over the limit of {OUTPUT_LIMIT}")
 
 
 class Output:
@@ -176,10 +181,29 @@ def _leaf(path: str, help: str, *arguments: tuple) -> Callable:
     return declare
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, reading the terminal's width (and loading
+    `shutil` to do so) only when it lays out help or usage: `add_argument`
+    builds a formatter for every argument just to check its metavar."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=0)
+        del self._width, self._max_help_position
+
+    def __getattr__(self, name: str):
+        if name not in ("_width", "_max_help_position"):
+            raise AttributeError(name)
+        terminal = argparse.HelpFormatter(self._prog)
+        self._width, self._max_help_position = terminal._width, terminal._max_help_position
+        return getattr(self, name)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command tree, built from the table on first use."""
-    common = argparse.ArgumentParser(add_help=False)
+    """The command tree, built from the table on first use.  A subcommand
+    group is given its `prog`, which argparse would otherwise lay out as a
+    usage line."""
+    common = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
     common.add_argument("--notation", choices=_NOTATION_NAMES, default="modern")
     common.add_argument("--encoding", choices=["unicode", "ascii"], default=None,
                         help="default: unicode when stdout advertises UTF-8")
@@ -189,15 +213,19 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="illation",
         description="Propositional logic over Peirce-era notations.",
+        formatter_class=_Formatter,
     )
     top.add_argument("--version", action="version", version=f"illation {__version__}")
-    groups = {"": top.add_subparsers(dest="command", required=True)}
+    groups = {"": top.add_subparsers(dest="command", required=True, prog=top.prog)}
     for path, help, arguments, handler in _LEAVES:
         group, _, name = path.rpartition(" ")
         if group not in groups:
-            parent = groups[""].add_parser(group, help=_GROUPS[group])
-            groups[group] = parent.add_subparsers(dest="subcommand", required=True)
-        leaf = groups[group].add_parser(name, parents=[common], help=help)
+            parent = groups[""].add_parser(group, help=_GROUPS[group],
+                                           formatter_class=_Formatter)
+            groups[group] = parent.add_subparsers(dest="subcommand", required=True,
+                                                  prog=parent.prog)
+        leaf = groups[group].add_parser(name, parents=[common], help=help,
+                                        formatter_class=_Formatter)
         # Errors found after parsing name the leaf's own usage and options.
         leaf.set_defaults(handler=handler, path=path, parser=leaf)
         for names, keywords in arguments:
@@ -471,9 +499,28 @@ def _cmd_entails(args) -> Output:
 
 @_leaf("indirect", "abbreviated truth table with trace", *_FORMULA)
 def _cmd_indirect(args) -> Output:
-    from .indirect import indirect_check, trace_lines, trace_size
+    from .indirect import NOTES, StepLimitError, indirect_check, text_layout, trace_lines
     formula, config = _parsed(args)
-    result = indirect_check(formula)
+    sizes = rendered_sizes(formula, config)  # the columns', in column order
+    lengths = list(sizes.values())
+    if args.format_ == "json":
+        layout = _json_steps(len(lengths))
+    else:
+        # The header holds every column's rendering: a trace whose renderings
+        # alone pass the limit is refused naming their length, before any
+        # cell as wide as one is laid out.
+        _check_size(sum(lengths), "more than ")
+        header, cells = text_layout(list(sizes), config)
+        layout = cells, NOTES, "\n", "| "
+    # A step's line is at least its t or f cells and the shortest ending, so
+    # the search stops once it has more steps than the limit holds of those.
+    cells, endings, opening, closing = layout
+    shortest = grid_size(cells, opening, closing, [(min(endings, key=len), 1)])
+    try:
+        result = indirect_check(formula, OUTPUT_LIMIT // shortest)
+    except StepLimitError as exc:
+        _check_size(exc.steps * shortest, "more than ")
+        raise
     trace = result.trace
     lines = ["outcome: " + result.outcome]
     if result.countermodel is not None:
@@ -490,20 +537,14 @@ def _cmd_indirect(args) -> Output:
                 "unconstrained": list(result.unconstrained), "columns": columns,
                 "steps": []}
 
-    steps = _json_steps(trace.steps.width)
-    lengths = list(rendered_sizes(formula, config).values())  # the columns'
     if args.format_ == "json":
         _check_size(_json_list_size(args.path, payload([""] * len(lengths)),
-                                    trace.steps.rows_size(*steps)) + sum(lengths) + lengths[-1])
+                                    trace.steps.rows_size(*layout)) + sum(lengths) + lengths[-1])
     else:
-        # The header holds every column's rendering: a trace whose renderings
-        # alone pass the limit is refused naming their length, before any
-        # cell as wide as one is laid out.
-        _check_size(len(head) + sum(lengths))
-        _check_size(len(head) + trace_size(trace, config))
+        _check_size(len(head) + header + trace.steps.rows_size(*layout))
     return Output(lambda: _json_list(
         args.path, payload([render(column, config) for column in trace.columns]),
-        _blocks(trace.steps.rows(*steps))),
+        _blocks(trace.steps.rows(*layout))),
         lambda: _blocks(chain([[head]], trace_lines(trace, config))))
 
 

@@ -26,13 +26,26 @@ without it the method cannot decide every formula.  Branches are explored
 depth-first in the order generated, closed branches stay in the trace, and
 the first open branch supplies the countermodel (exploration stops there).
 Unconstrained variables may be completed arbitrarily: evaluation still
-yields f.  The search binds on one trail: a case binds its columns, and
-backtracking unbinds them back to the mark taken at the split.  A binding
-is coded as 2 * column + bit, with bit 0 for t and 1 for f.
+yields f.
+
+The search is one loop over one trail of bindings, each coded as
+2 * column + bit, with bit 0 for t and 1 for f.  Each code's rule is made
+once, when it is first reached, as either the codes it forces (a tuple,
+empty for a variable) or its cases (a list); a rule that closes forces the
+node's own column to the other value.  Propagation walks the trail from a
+mark and binds what each rule forces; a code whose rule splits waits in
+`pending`.  An open branch splits on its next pending code, and each open
+split is kept as [mark, pending depth, cases, next case index]: a case
+binds its columns from the mark, and backtracking unbinds them back to it.
+Each binding is appended to the trace's codes as it is made and each step
+to its notes, bases and ends, so a trace holds bindings, not snapshots.
+A budget of steps is checked where a branch opens and at the end; between
+two branch opens the loop records at most a few steps per column.
 """
 
 from array import array
 from collections.abc import Iterator, Sequence
+from itertools import chain
 
 from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
                    Negation, Record, TruthValue, Variable, grid_size, subformulas)
@@ -81,30 +94,35 @@ class TraceSteps(Record, Sequence):
         return next(step for s, step in enumerate(self) if s == index)
 
     def __iter__(self) -> Iterator[TraceStep]:
-        row: list[TruthValue | None] = [None] * self.width
-        for note in self._replay(row, _VALUES * self.width):
-            yield TraceStep(tuple(row), NOTES[note])
+        for row in self._replay([None] * (self.width + 1), _VALUES * self.width, NOTES):
+            yield TraceStep(tuple(row[:-1]), row[-1])
 
     def __reversed__(self) -> Iterator[TraceStep]:
         return reversed(tuple(self))
 
-    def _replay(self, row: list, cells: Sequence) -> Iterator[int]:
-        """Replay the steps into `row`, yielding each step's note code once
-        its row is current: code c shows cells[c], an unbound column its
-        first cell."""
+    def _replay(self, row: list, cells: Sequence, endings: Sequence) -> Iterator[list]:
+        """Replay the steps into `row`, one item per column and one more,
+        and yield it once per step with that step's columns current and its
+        last item endings[the step's note code]: code c shows cells[c], an
+        unbound column its item in `row` as given.  A step that unbinds or
+        binds nothing (most closed branches) costs no loop."""
         dashes = row[:]
+        codes = self.codes.tolist()
         trail: list[int] = []
         start = 0
         for note, base, end in zip(self.notes, self.bases, self.ends):
-            for code in trail[base:]:
-                row[code >> 1] = dashes[code >> 1]
-            del trail[base:]
-            added = self.codes[start:end]
-            for code in added:
-                row[code >> 1] = cells[code]
-            trail += added
-            start = end
-            yield note
+            if base < len(trail):
+                for code in trail[base:]:
+                    row[code >> 1] = dashes[code >> 1]
+                del trail[base:]
+            if start < end:
+                added = codes[start:end]
+                for code in added:
+                    row[code >> 1] = cells[code]
+                trail += added
+                start = end
+            row[-1] = endings[note]
+            yield row
 
     def rows(self, cells: Sequence[Sequence[str]], endings: Sequence[str],
              opening: str, closing: str) -> Iterator[list[str]]:
@@ -116,10 +134,7 @@ class TraceSteps(Record, Sequence):
         columns = [[opening + cell for cell in first], *rest]
         row = [dash for _, _, dash in columns] + [""]
         codes = [cell for t, f, _ in columns for cell in (t, f)]
-        endings = [closing + ending for ending in endings]
-        for note in self._replay(row, codes):
-            row[-1] = endings[note]
-            yield row
+        return self._replay(row, codes, [closing + ending for ending in endings])
 
     def rows_size(self, cells: Sequence[Sequence[str]], endings: Sequence[str],
                   opening: str, closing: str) -> int:
@@ -183,10 +198,12 @@ _CONSTANT_RULES: tuple[_Table, _Table] = ((((), ()), None), (None, ((), ())))
 _VARIABLE_RULES: _Table = (((), ()), ((), ()))
 
 
-def _in_codes(node: Formula, value: int, place: dict[Formula, int]) -> tuple:
-    """The node's rule at `value` over binding codes, its operands' columns
-    found in `place` and its cases de-duplicated over columns (both operands
-    may be one column); () closes the branch."""
+def _in_codes(node: Formula, code: int, place: dict[Formula, int]) -> tuple | list:
+    """The rule of `code`, the node bound to a value, over binding codes, its
+    operands' columns found in `place`: a tuple of the codes it forces, or a
+    list of its cases, de-duplicated over columns (both operands may be one
+    column).  A rule that closes the branch forces the node's own column to
+    the other value, which conflicts at once and binds nothing."""
     table, operands = _VARIABLE_RULES, ()
     if type(node) is Binary:
         table = _CONNECTIVE_RULES[node.connective.column]
@@ -195,47 +212,48 @@ def _in_codes(node: Formula, value: int, place: dict[Formula, int]) -> tuple:
         table, operands = _NEGATION_RULES, (place[node.operand],)
     elif type(node) is Constant:
         table = _CONSTANT_RULES[_VALUES.index(node.value)]
-    rule = table[value]
+    rule = table[code & 1]
 
     def coded(bindings: _Bindings) -> tuple[int, ...]:
         return tuple(2 * operands[pos] + bit for pos, bit in bindings)
     if rule is None:
-        return ()
-    return coded(rule[0]), tuple(dict.fromkeys(map(coded, rule[1])))
+        return (code ^ 1,)
+    forced, cases = rule
+    return list(dict.fromkeys(map(coded, cases))) if cases else coded(forced)
 
 
-def indirect_check(formula: Formula) -> IndirectResult:
+class StepLimitError(Exception):
+    """A search stopped once its trace held more than `max_steps` steps."""
+
+    def __init__(self, steps: int, limit: int) -> None:
+        super().__init__(f"the trace holds more than {limit} steps")
+        self.steps = steps
+        self.limit = limit
+
+
+def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectResult:
+    """Refute `formula` by the rules above.  With `max_steps`, raise
+    StepLimitError rather than return a trace of more steps: the count is
+    checked where a branch opens and at the end, so the search records at
+    most a few steps per column past it before it stops."""
     columns = subformulas(formula)
     place = {node: j for j, node in enumerate(columns)}
     width = len(columns)
+    budget = float("inf") if max_steps is None else max_steps
     rules: list = [None] * (2 * width)  # each code's rule in codes, made on first use
     values = [-1] * width  # each column's bit, -1 for a dash
-    trail: list[int] = []  # the codes bound on this branch, in binding order
+    trail = [2 * width - 1]  # the codes bound on this branch: first, the whole formula is f
+    values[-1] = 1
     pending: list[int] = []  # codes whose rule splits, in the order reached
-    notes, bases, ends, codes = bytearray(), array("i"), array("i"), array("i")
-
-    def record(note: int, base: int) -> None:
-        notes.append(note)
-        bases.append(base)
-        codes.extend(trail[base:])
-        ends.append(len(codes))
-
-    def bind(forced: tuple[int, ...]) -> bool:
-        # False when a column holds the other value (those before stay bound).
-        for code in forced:
-            held = values[code >> 1]
-            if held < 0:
-                values[code >> 1] = code & 1
-                trail.append(code)
-            elif held != code & 1:
-                return False
-        return True
-
-    bind((2 * width - 1,))  # the whole formula is f
-    record(_ROOT, 0)
+    # Each binding is appended to `codes` as it is made, and a step is
+    # recorded as its note, its base (the trail's length where it began)
+    # and the end of its codes, which are those bound since the last step.
+    notes, bases, ends = bytearray([_ROOT]), array("i", [0]), array("i", [1])
+    codes = array("i", trail)
     # The splits still open, outermost first: the k-th splits on pending[k],
-    # binding its cases from trail[mark], with pending[:depth] reached.
-    splits: list[tuple[int, int, Iterator]] = []  # mark, depth, cases left
+    # binding its cases from trail[mark], with pending[:depth] reached, and
+    # holds [mark, depth, cases, the index of its next case].
+    splits: list[list] = []
     mark = 0
     falsifiable = False
     while True:
@@ -245,38 +263,71 @@ def indirect_check(formula: Formula) -> IndirectResult:
             mark += 1
             rule = rules[code]
             if rule is None:
-                rule = rules[code] = _in_codes(columns[code >> 1], code & 1, place)
-            base = len(trail)
-            if not rule or not bind(rule[0]):
-                record(_CLOSED, base)
-                break
-            if len(trail) > base:
-                record(_FORCED, base)
-            if rule[1]:
+                rule = rules[code] = _in_codes(columns[code >> 1], code, place)
+            if not rule:
+                continue
+            if type(rule) is list:
                 pending.append(code)
+                continue
+            base = len(trail)
+            for forced in rule:
+                held = values[forced >> 1]
+                if held < 0:
+                    values[forced >> 1] = forced & 1
+                    trail.append(forced)
+                    codes.append(forced)
+                elif held != forced & 1:
+                    break
+            else:
+                if len(trail) > base:
+                    notes.append(_FORCED)
+                    bases.append(base)
+                    ends.append(len(codes))
+                continue
+            notes.append(_CLOSED)
+            bases.append(base)
+            ends.append(len(codes))
+            break
         else:  # the branch is open: split on the next pending code, if any
             if len(splits) == len(pending):
                 falsifiable = True
                 break
-            splits.append((mark, len(pending), iter(rules[pending[len(splits)]][1])))
+            splits.append([mark, len(pending), rules[pending[len(splits)]], 0])
         # Undo the last case; open the next case of the innermost split that
         # has one left.
         while splits:
-            mark, depth, cases = splits[-1]
+            split = splits[-1]
+            mark, depth, cases, index = split
             if len(trail) > mark:  # undo the case tried last
                 for code in trail[mark:]:
                     values[code >> 1] = -1
                 del trail[mark:], pending[depth:]
-            case = next(cases, None)
-            if case is None:
+            if index == len(cases):
                 splits.pop()
-            elif bind(case):
-                record(_OPEN, mark)
-                break
+                continue
+            split[3] = index + 1
+            for code in cases[index]:
+                held = values[code >> 1]
+                if held < 0:
+                    values[code >> 1] = code & 1
+                    trail.append(code)
+                    codes.append(code)
+                elif held != code & 1:
+                    notes.append(_CLOSED)
+                    bases.append(mark)
+                    ends.append(len(codes))
+                    break
             else:
-                record(_CLOSED, mark)
+                notes.append(_OPEN)
+                bases.append(mark)
+                ends.append(len(codes))
+                if len(notes) > budget:
+                    raise StepLimitError(len(notes), max_steps)
+                break
         else:
             break
+    if len(notes) > budget:
+        raise StepLimitError(len(notes), max_steps)
     trace = IndirectTrace(tuple(columns), TraceSteps(width, notes, bases, ends, codes))
     if not falsifiable:
         return IndirectResult("tautology", None, (), trace)
@@ -302,8 +353,8 @@ def trace_lines(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()
     one `TraceSteps.rows` reuses: take its pieces before the next."""
     headers = [render(column, config) for column in trace.columns]
     widths = [max(display_width(h), 1) for h in headers]
-    yield ["  ".join(pad_display(h, w) for h, w in zip(headers, widths)) + "  | note"]
-    yield from trace.steps.rows(_text_cells(widths, config), NOTES, "\n", "| ")
+    header = "  ".join(pad_display(h, w) for h, w in zip(headers, widths)) + "  | note"
+    return chain([[header]], trace.steps.rows(_text_cells(widths, config), NOTES, "\n", "| "))
 
 
 def render_trace(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> str:
@@ -315,16 +366,21 @@ def render_trace(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) ->
     return "".join(parts)
 
 
-def trace_size(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> int:
-    """len(render_trace(trace, config)), found without building the text:
-    each column's rendered length and width give its cells, and the header
+def text_layout(columns: Sequence[Formula], config: SyntaxConfig = SyntaxConfig()
+                ) -> tuple[int, list[list[str]]]:
+    """The length of a trace's header line over `columns` and the columns'
+    text cells, from each column's rendered length and width: the header
     pads each rendering as the cells below it are padded."""
-    # Each column's rendered length and width, in column order: every column
-    # is a node object of the whole formula, the last column.
-    sizes = _sizes(trace.columns[-1], config)
-    lengths, widths = zip(*(sizes[id(column)] for column in trace.columns))
+    # Every column is a node object of the whole formula, the last column.
+    sizes = _sizes(columns[-1], config)
+    lengths, widths = zip(*(sizes[id(column)] for column in columns))
     cells = _text_cells([max(width, 1) for width in widths], config)
     # Each header cell is as long as the cells below it plus its rendering's
     # length over its width, and the header ends in "| note".
-    header = grid_size(cells, "", "| ", [("note", 1)]) + sum(lengths) - sum(widths)
+    return grid_size(cells, "", "| ", [("note", 1)]) + sum(lengths) - sum(widths), cells
+
+
+def trace_size(trace: IndirectTrace, config: SyntaxConfig = SyntaxConfig()) -> int:
+    """len(render_trace(trace, config)), found without building the text."""
+    header, cells = text_layout(trace.columns, config)
     return header + trace.steps.rows_size(cells, NOTES, "\n", "| ")

@@ -153,6 +153,113 @@ def distinct_subformulas(formula: Formula) -> list[Formula]:
     return list(seen)
 
 
+def xor_equivalence(n: int) -> Formula:
+    """(x0 ↔ … ↔ x(n-1)) ↔ (x(n-1) ↔ … ↔ x0), each side a left comb: a
+    tautology whose indirect trace more than doubles with n (172,031
+    steps at n = 12)."""
+    xs = [Variable(f"x{i}") for i in range(n)]
+    equivalence = connective("equivalence")
+    left, right = xs[0], xs[-1]
+    for a, b in zip(xs[1:], xs[-2::-1]):
+        left, right = Binary(equivalence, left, a), Binary(equivalence, right, b)
+    return Binary(equivalence, left, right)
+
+
+def reference_indirect_steps(formula: Formula) -> tuple:
+    """The indirect method written plainly from the rules in the docstring of
+    `illation.indirect`, with BOOL_OPS as the truth functions: (steps,
+    outcome, countermodel, unconstrained), each step a (values, note) pair
+    whose values give each column's TruthValue, None for a dash.  Every step
+    snapshots the state, a dict from column to bool; every case binds on a
+    copy of its branch's state, and nothing is ever unbound.  Recursion, so
+    only for shallow formulas."""
+    columns = distinct_subformulas(formula)
+    index = {node: j for j, node in enumerate(columns)}
+    steps: list[tuple[dict, str]] = []
+
+    def rule(node: Formula, value: bool) -> tuple:
+        """("closes", None), ("forced", bindings) or ("cases", [bindings, ...])
+        for `node` = `value`, each binding a (column, bool) pair."""
+        if isinstance(node, Constant):
+            return ("forced", []) if value == (node.value is TruthValue.T) else ("closes", None)
+        if isinstance(node, Variable):
+            return "forced", []
+        if isinstance(node, Negation):
+            return "forced", [(index[node.operand], not value)]
+        p_column, q_column = index[node.left], index[node.right]
+        op = BOOL_OPS[node.connective.name]
+        support = [(p, q) for p in (True, False) for q in (True, False) if op(p, q) == value]
+        if not support:
+            return "closes", None
+        forced = []
+        if len({p for p, _ in support}) == 1:
+            forced.append((p_column, support[0][0]))
+        if len({q for _, q in support}) == 1:
+            forced.append((q_column, support[0][1]))
+        if forced:
+            return "forced", forced
+        cases: list[list] = []
+        for p, q in support:
+            if (p, not q) in support:
+                case = [(p_column, p)]
+            elif (not p, q) in support:
+                case = [(q_column, q)]
+            else:
+                case = [(p_column, p), (q_column, q)]
+            if case not in cases:
+                cases.append(case)
+        return "cases", cases
+
+    def bind(state: dict, queue: list, bindings: list) -> bool:
+        for column, value in bindings:
+            if column not in state:
+                state[column] = value
+                queue.append(column)
+            elif state[column] != value:
+                return False
+        return True
+
+    def branch(state: dict, queue: list, pending: list, depth: int) -> dict | None:
+        """Propagate the columns in `queue`, then split on pending[depth]:
+        the state of the first open branch, or None when all close."""
+        while queue:
+            column = queue.pop(0)
+            kind, bindings = rule(columns[column], state[column])
+            if kind == "cases":
+                pending.append(bindings)
+                continue
+            before = len(state)
+            if kind == "closes" or not bind(state, queue, bindings):
+                steps.append((dict(state), "branch-closed"))
+                return None
+            if len(state) > before:
+                steps.append((dict(state), "forced"))
+        if depth == len(pending):
+            return state
+        for case in pending[depth]:
+            copy, copy_queue = dict(state), []
+            if not bind(copy, copy_queue, case):
+                steps.append((dict(copy), "branch-closed"))
+                continue
+            steps.append((dict(copy), "branch-open"))
+            found = branch(copy, copy_queue, list(pending), depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    root = {len(columns) - 1: False}
+    steps.append((dict(root), "root-assumption"))
+    found = branch(root, [len(columns) - 1], [], 0)
+    values = [(tuple(to_value(state[j]) if j in state else None
+                     for j in range(len(columns))), note) for state, note in steps]
+    if found is None:
+        return values, "tautology", None, ()
+    variables = [j for j, node in enumerate(columns) if isinstance(node, Variable)]
+    countermodel = {columns[j].name: to_value(found[j]) for j in variables if j in found}
+    unconstrained = tuple(columns[j].name for j in variables if j not in found)
+    return values, "falsifiable", countermodel, unconstrained
+
+
 def reference_table_rows(formula: Formula, row_order: str = "t-first") -> tuple:
     """A truth table's rows, each an assignment dict and the formula's value
     on it, from `eval_bool`, in `row_order`."""

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output fixtures, exit codes, JSON."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ from illation.indirect import indirect_check, render_trace, trace_size
 from illation.notation import (RESERVED_WORDS, Notation, SyntaxConfig, parse, render,
                                rendered_sizes, value_symbols)
 
-from helpers import random_formula, run_cli
+from helpers import random_formula, run_cli, xor_equivalence
 
 ALL_CONNECTIVES = tuple(c.name for c in CONNECTIVES)
 
@@ -719,9 +720,10 @@ class TestSyllogism:
         assert "((p -< q) * (q -< r)) -< (p -< r)" in out
 
 
-def _predicted(err: str) -> int:
-    """The size an exit-4 output-limit error names."""
-    found = re.fullmatch(r"error: the output would take (\d+) characters, "
+def _predicted(err: str, bound: str = "") -> int:
+    """The size an exit-4 output-limit error names: the output's, or with
+    `bound` "more than ", a lower bound of it."""
+    found = re.fullmatch(f"error: the output would take {bound}" r"(\d+) characters, "
                          r"over the limit of (\d+)\n", err)
     assert found is not None, err
     return int(found[1])
@@ -846,13 +848,60 @@ class TestOutputBound:
         assert expected > cli.OUTPUT_LIMIT
 
     def test_cubic_trace_exits_before_rendering(self, nothing_rendered):
+        """2,001 steps, each line at least 2,007,012 characters: past the
+        33 steps the limit holds of those, so the error names those lines'
+        length, a lower bound of the trace's."""
         text = "!" * 2000 + "a"
         code, out, err = run_cli("indirect", "--encoding", "ascii", text)
         trace = indirect_check(parse(text)).trace
         head = "outcome: falsifiable\ncountermodel: a=f\n\n"
         assert (code, out) == (4, "")
-        assert _predicted(err) == len(head) + trace_size(
+        assert _predicted(err, "more than ") == 2001 * 2_007_012
+        assert 2001 * 2_007_012 < len(head) + trace_size(
             trace, SyntaxConfig(Notation.MODERN, "ascii"))
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    @pytest.mark.parametrize("n, shortest", [(16, {"text": 2151, "json": 673}),
+                                             (24, {"text": 4783, "json": 985})])
+    def test_deep_trace_stops_at_the_step_budget(self, monkeypatch, nothing_rendered,
+                                                 n, shortest, form):
+        """The xor-equivalence's trace more than doubles with n.  The search
+        stops soon after the limit over the shortest step line, in the form
+        asked for: a few steps per column past it at most."""
+        searched = []
+
+        def search(formula, max_steps=None):
+            searched.append(max_steps)
+            try:
+                return indirect_check(formula, max_steps)
+            except indirect.StepLimitError as exc:
+                searched.append(exc.steps)
+                raise
+        monkeypatch.setattr(indirect, "indirect_check", search)
+        formula = xor_equivalence(n)
+        code, out, err = run_cli("indirect", "--format", form, "--encoding", "unicode",
+                                 render(formula, SyntaxConfig(Notation.MODERN, "unicode")))
+        budget, steps = searched
+        width = 3 * n - 1
+        assert (code, out) == (4, "")
+        assert budget == cli.OUTPUT_LIMIT // shortest[form]
+        assert budget < steps <= budget + 5 * width + 2
+        assert _predicted(err, "more than ") == steps * shortest[form] > cli.OUTPUT_LIMIT
+
+    def test_a_trace_past_the_budget_names_its_shortest_lines(self, monkeypatch):
+        """With a limit that holds one step fewer of the shortest line than
+        the trace has, the error names the steps recorded times that line."""
+        argv = ["indirect", "--encoding", "ascii", "(a <-> b) <-> (b <-> a)"]
+        trace = indirect_check(parse(argv[-1])).trace
+        steps = len(trace.steps)
+        ascii = SyntaxConfig(Notation.MODERN, "ascii")
+        shortest = (1 + sum(len(render(column, ascii)) + 2 for column in trace.columns)
+                    + len("| forced"))
+        monkeypatch.setattr(cli, "OUTPUT_LIMIT", (steps - 1) * shortest)
+        code, out, err = run_cli(*argv)
+        bound = _predicted(err, "more than ")
+        assert (code, out, bound % shortest) == (4, "", 0)
+        assert steps - 1 < bound // shortest <= steps
 
     def test_large_enumeration_exits_before_rendering(self, nothing_rendered):
         code, out, err = run_cli(
@@ -1087,6 +1136,41 @@ class TestOneParser:
         assert [run_cli(*argv) for argv in self.CALLS] == fresh
         assert cli._parser.cache_info().misses == 1
         assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 0, 0, 0]
+
+
+class TestHelpFormatter:
+    """The parser's formatter reads the terminal's width only when it lays
+    out help or usage, and lays it out as argparse's own formatter does at
+    every width `COLUMNS` sets."""
+
+    ARGVS = [["--help"], ["triadic", "--help"], ["connectives", "enumerate", "--help"],
+             ["indirect", "--help"], [], ["triadic"], ["check", "--bogus", "a"],
+             ["table", "--row-order", "sideways", "a"]]
+
+    def runs(self, monkeypatch, formatter) -> list:
+        monkeypatch.setattr(cli, "_Formatter", formatter)
+        cli._parser.cache_clear()
+        found = []
+        for columns in ("12", "30", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            found += [run_cli(*argv) for argv in self.ARGVS]
+        cli._parser.cache_clear()
+        return found
+
+    def test_help_matches_argparse_at_every_width(self, monkeypatch):
+        lazy = self.runs(monkeypatch, cli._Formatter)
+        assert lazy == self.runs(monkeypatch, argparse.HelpFormatter)
+        assert lazy[0] != lazy[3 * len(self.ARGVS)]  # --help at 12 and 200 columns
+
+    def test_building_the_parser_reads_no_width(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("terminal width read while building the parser")
+        monkeypatch.setattr("shutil.get_terminal_size", refuse)
+        cli._parser.cache_clear()
+        try:
+            assert run_cli("check", "a | !a")[0] == 0
+        finally:
+            cli._parser.cache_clear()
 
 
 # Argument vectors for the fuzz test: a command, options, then a formula.

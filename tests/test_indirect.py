@@ -30,13 +30,14 @@ from illation.indirect import (
     NOTE_FORCED,
     NOTE_ROOT,
     IndirectResult,
+    StepLimitError,
     TraceStep,
     indirect_check,
     render_trace,
 )
-from illation.notation import Notation, SyntaxConfig, parse
+from illation.notation import Notation, SyntaxConfig, parse, render
 
-from helpers import random_formula
+from helpers import random_formula, reference_indirect_steps, xor_equivalence
 
 T, F = TruthValue.T, TruthValue.F
 PEIRCE_ASCII = SyntaxConfig(Notation.PEIRCE, "ascii")
@@ -248,6 +249,77 @@ class TestAgainstDirectMethod:
         second = indirect_check(formula)
         assert first == second
         assert render_trace(first.trace) == render_trace(second.trace)
+
+
+def _one_column_operands():
+    """Every connective over two equal operands, each one column: a
+    variable, a constant, a negation and a binary node."""
+    a, b = Variable("a"), Variable("b")
+    operands = [a, *(parse(text, MODERN_ASCII) for text in ("T", "F", "!a", "a & b", "a -> a"))]
+    for conn in CONNECTIVES:
+        for operand in operands:
+            yield Binary(conn, operand, operand)
+            yield Negation(Binary(conn, operand, operand))
+            yield Binary(conn, Binary(conn, operand, operand), Binary(conn, operand, operand))
+
+
+class TestAgainstReference:
+    """The search and the trace writer against a plain search written from
+    the module docstring's rules: every step, its rendered line, the
+    outcome and the countermodel."""
+
+    def check(self, formula) -> None:
+        result = indirect_check(formula)
+        steps, outcome, countermodel, unconstrained = reference_indirect_steps(formula)
+        assert [(step.values, step.note) for step in result.trace.steps] == steps
+        assert (result.outcome, result.countermodel, result.unconstrained) == (
+            outcome, countermodel, unconstrained)
+        widths = [max(len(render(column, MODERN_ASCII)), 1) for column in result.trace.columns]
+        symbols = {None: "-", T: "t", F: "f"}
+        lines = ["".join(symbols[value].ljust(width) + "  "
+                         for value, width in zip(values, widths)) + "| " + note
+                 for values, note in steps]
+        assert render_trace(result.trace, MODERN_ASCII).split("\n")[1:] == lines
+
+    def test_corpus(self):
+        for formula in corpus_527():
+            self.check(formula)
+
+    def test_operands_of_one_column(self):
+        for formula in _one_column_operands():
+            self.check(formula)
+
+    def test_xor_equivalences(self):
+        for n in range(1, 7):
+            self.check(xor_equivalence(n))
+
+
+class TestStepBudget:
+    def test_a_trace_within_the_budget_is_returned_whole(self):
+        for formula in corpus_527()[:100]:
+            result = indirect_check(formula)
+            steps = len(result.trace.steps)
+            assert indirect_check(formula, max_steps=steps) == result
+            with pytest.raises(StepLimitError) as raised:
+                indirect_check(formula, max_steps=steps - 1)
+            assert steps - 1 < raised.value.steps <= steps
+
+    def test_the_search_stops_soon_after_the_budget(self):
+        """n = 12: 172,031 steps over 35 columns; past the budget the search
+        records a few steps per column at most before it stops."""
+        formula = xor_equivalence(12)
+        for budget in (0, 1, 100, 1000):
+            with pytest.raises(StepLimitError) as raised:
+                indirect_check(formula, max_steps=budget)
+            assert budget < raised.value.steps <= budget + 5 * 35 + 2
+            assert raised.value.limit == budget
+
+    def test_a_search_without_splits_is_checked_at_the_end(self):
+        formula = parse("!" * 50 + "a", MODERN_ASCII)
+        assert len(indirect_check(formula).trace.steps) == 51
+        with pytest.raises(StepLimitError) as raised:
+            indirect_check(formula, max_steps=50)
+        assert raised.value.steps == 51
 
 
 class TestTraceSteps:

@@ -148,9 +148,10 @@ def test_cli_does_not_import_dataclasses():
 
 
 # The standard modules a command does without: `dataclasses` (which loads
-# `inspect`) and `typing`.  `-S` keeps `site` and its `.pth` hooks from
+# `inspect`), `typing`, and `shutil`, which argparse's help formatter loads
+# to read the terminal's width.  `-S` keeps `site` and its `.pth` hooks from
 # loading them first.
-HEAVY = ("dataclasses", "inspect", "typing")
+HEAVY = ("dataclasses", "inspect", "typing", "shutil")
 
 
 def test_commands_load_no_dataclasses_inspect_or_typing():
