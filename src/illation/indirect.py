@@ -45,7 +45,7 @@ two branch opens the loop records at most a few steps per column.
 
 from array import array
 from collections.abc import Iterator, Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
                    Negation, Record, TruthValue, Variable, grid_size, subformulas)
@@ -90,11 +90,17 @@ class TraceSteps(Record, Sequence):
     def __getitem__(self, key):
         if isinstance(key, slice):  # builds every snapshot, then slices
             return tuple(self)[key]
-        index = range(len(self))[key]
-        return next(step for s, step in enumerate(self) if s == index)
+        return next(self._steps(range(len(self))[key]))
 
     def __iter__(self) -> Iterator[TraceStep]:
-        for row in self._replay([None] * (self.width + 1), _VALUES * self.width, NOTES):
+        return self._steps(0)
+
+    def _steps(self, start: int) -> Iterator[TraceStep]:
+        """The snapshots from step `start` on; the replay passes the earlier
+        steps without building theirs."""
+        rows = self._replay([None] * (self.width + 1), _VALUES * self.width, NOTES)
+        next(islice(rows, start, start), None)
+        for row in rows:
             yield TraceStep(tuple(row[:-1]), row[-1])
 
     def __reversed__(self) -> Iterator[TraceStep]:

@@ -1,24 +1,20 @@
 """Parsing, rendering and translation across the four supported notations.
 
-Symbol maps (unicode form / ascii form):
+Symbols by notation, unicode / ascii (a reading of `_SPELLINGS`, which
+drives the lexer, the renderer and the primitive sets):
 
-================  ============  ===========  ===========  ===========  ==============
-notation          implication   negation     conjunction  disjunction  extras
-================  ============  ===========  ===========  ===========  ==============
-peirce            primary ; -<       macron ; -   . (middle   +            constants v, f
-                                (prefix -    dot) ; *
-                                on groups)
-schroeder         closed-subset prime ' as   middle dot   +            constants 1, 0
-                  sign ; =<     postfix      ; *
-peano-russell     horseshoe ; > tilde ; ~    middle dot   vee ; |      equivalence
-                                             ; .                       triple-bar ; ==
-                                                                       constants tee/
-                                                                       falsum ; T, F
-modern            arrow ; ->    hook-not ; ! wedge ; &    vee ; |      equivalence
-                                                                       double-arrow ;
-                                                                       <->  constants
-                                                                       tee/falsum; T, F
-================  ============  ===========  ===========  ===========  ==============
+=============  ===========  ===========  ===========  ===========  ========  ===========
+notation       implication  equivalence  conjunction  disjunction  negation  constants
+=============  ===========  ===========  ===========  ===========  ========  ===========
+peirce         ≺ / -<       --           · / *        + / +        -a / -a   v, f
+schroeder      ⋐ / =<       --           · / *        + / +        a′ / a'   1, 0
+peano-russell  ⊃ / >        ≡ / ==       · / .        ∨ / |        ∼a / ~a   ⊤, ⊥ / T, F
+modern         → / ->       ↔ / <->      ∧ / &        ∨ / |        ¬a / !a   ⊤, ⊥ / T, F
+=============  ===========  ===========  ===========  ===========  ========  ===========
+
+Peirce's unicode form writes the negation of a one-character atom as a
+combining macron over it (ā); the parser also reads ⊆ as Schröder's
+implication.
 
 Rules shared by all notations:
 
@@ -65,6 +61,7 @@ from .core import (
     Record,
     TruthValue,
     Variable,
+    _NAME_RE,
     conj,
     disj,
     fold,
@@ -125,69 +122,64 @@ def _error(position: int, message: str, expected: tuple[str, ...] = ()) -> Parse
 # ---------------------------------------------------------------------------
 # lexing
 
-# Each input symbol is a binary operator's kind (see _BINARY_OPERATORS), a
-# negation mark ("not" before its operand, "postnot" after it), or the truth
-# value of a constant.
-_INPUT_SYMBOLS: dict[Notation, tuple[tuple[str, str | TruthValue], ...]] = {
-    Notation.PEIRCE: (
-        ("-<", "impl"), ("≺", "impl"),
-        ("·", "and"), ("*", "and"),
-        ("+", "or"),
-        ("-", "not"), (MACRON, "postnot"),
-    ),
-    Notation.SCHROEDER: (
-        ("=<", "impl"), ("⋐", "impl"), ("⊆", "impl"),
-        ("·", "and"), ("*", "and"),
-        ("+", "or"),
-        (PRIME, "postnot"), ("'", "postnot"),
-        ("1", TruthValue.T), ("0", TruthValue.F),
-    ),
-    Notation.PEANO_RUSSELL: (
-        ("==", "equiv"), ("≡", "equiv"),
-        ("⊃", "impl"), (">", "impl"),
-        ("·", "and"), (".", "and"),
-        ("∨", "or"), ("|", "or"),
-        ("∼", "not"), ("~", "not"),
-        ("⊤", TruthValue.T), ("⊥", TruthValue.F),
-    ),
-    Notation.MODERN: (
-        ("<->", "equiv"), ("↔", "equiv"),
-        ("->", "impl"), ("→", "impl"),
-        ("∧", "and"), ("&", "and"),
-        ("∨", "or"), ("|", "or"),
-        ("¬", "not"), ("!", "not"),
-        ("⊤", TruthValue.T), ("⊥", TruthValue.F),
-    ),
+# Each notation's roles, each with its spellings: the unicode rendering,
+# then the ascii one, then any other spelling the parser reads.  A role is a
+# primitive connective, a negation mark ("not" before its operand, "postnot"
+# after it), or the truth value of a constant.
+_SPELLINGS: dict[Notation, dict[Connective | str | TruthValue, tuple[str, ...]]] = {
+    Notation.PEIRCE: {
+        IMPLICATION: ("≺", "-<"), CONJUNCTION: ("·", "*"), DISJUNCTION: ("+", "+"),
+        "not": ("-", "-"), "postnot": (MACRON,),
+        TruthValue.T: ("v", "v"), TruthValue.F: ("f", "f"),
+    },
+    Notation.SCHROEDER: {
+        IMPLICATION: ("⋐", "=<", "⊆"), CONJUNCTION: ("·", "*"), DISJUNCTION: ("+", "+"),
+        "postnot": (PRIME, "'"),
+        TruthValue.T: ("1", "1"), TruthValue.F: ("0", "0"),
+    },
+    Notation.PEANO_RUSSELL: {
+        EQUIVALENCE: ("≡", "=="), IMPLICATION: ("⊃", ">"), CONJUNCTION: ("·", "."),
+        DISJUNCTION: ("∨", "|"), "not": ("∼", "~"),
+        TruthValue.T: ("⊤", "T"), TruthValue.F: ("⊥", "F"),
+    },
+    Notation.MODERN: {
+        EQUIVALENCE: ("↔", "<->"), IMPLICATION: ("→", "->"), CONJUNCTION: ("∧", "&"),
+        DISJUNCTION: ("∨", "|"), "not": ("¬", "!"),
+        TruthValue.T: ("⊤", "T"), TruthValue.F: ("⊥", "F"),
+    },
 }
 
 #: Constant words reserved per notation (never variables there).
 RESERVED_WORDS: dict[Notation, dict[str, TruthValue]] = {
-    Notation.PEIRCE: {"v": TruthValue.T, "f": TruthValue.F},
-    Notation.SCHROEDER: {},
-    Notation.PEANO_RUSSELL: {"T": TruthValue.T, "F": TruthValue.F},
-    Notation.MODERN: {"T": TruthValue.T, "F": TruthValue.F},
+    notation: {word: role for role, spellings in roles.items() if isinstance(role, TruthValue)
+               for word in spellings if _NAME_RE.match(word)}
+    for notation, roles in _SPELLINGS.items()
 }
 
-# glyph -> notations that use it, for cross-notation diagnostics
+#: The connectives each notation has a symbol for, by name.
+PRIMITIVE_CONNECTIVES: dict[Notation, frozenset[str]] = {
+    notation: frozenset(role.name for role in roles if isinstance(role, Connective))
+    for notation, roles in _SPELLINGS.items()
+}
+
+# spelling -> notations that use it as a mark, for cross-notation diagnostics
 _FOREIGN: dict[str, set[Notation]] = {}
-for _n, _syms in _INPUT_SYMBOLS.items():
-    for _lit, _kind in _syms:
-        if not isinstance(_kind, TruthValue):
-            _FOREIGN.setdefault(_lit, set()).add(_n)
+for _n, _roles in _SPELLINGS.items():
+    for _role, _spellings in _roles.items():
+        if not isinstance(_role, TruthValue):
+            for _spelling in _spellings:
+                _FOREIGN.setdefault(_spelling, set()).add(_n)
 
 _MATCHING_CLOSE = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = frozenset(_MATCHING_CLOSE.values())
 
-_HAS_EQUIV = {Notation.PEANO_RUSSELL, Notation.MODERN}
-
-# Binary operator kinds: precedence (higher binds tighter), whether a chain
-# of them nests to the left, and their connective.  Prefix negation binds
-# tighter than all of them.
-_BINARY_OPERATORS: dict[str, tuple[int, bool, Connective]] = {
-    "and": (4, True, CONJUNCTION),
-    "or": (3, True, DISJUNCTION),
-    "impl": (2, False, IMPLICATION),
-    "equiv": (1, False, EQUIVALENCE),
+# Each binary connective's precedence (higher binds tighter) and whether a
+# chain of it nests to the left.  Prefix negation binds tighter than all.
+_BINARY_OPERATORS: dict[Connective, tuple[int, bool]] = {
+    CONJUNCTION: (4, True),
+    DISJUNCTION: (3, True),
+    IMPLICATION: (2, False),
+    EQUIVALENCE: (1, False),
 }
 _PREFIX_PRECEDENCE = 5
 _OPERAND_EXPECTED = ("variable", "constant", "'('")
@@ -222,25 +214,26 @@ def _lexer(notation: Notation) -> tuple[re.Pattern, dict[str, _Entry]]:
     has an entry for every bracket, symbol and constant word; a lexeme it
     lacks is a variable name or a character the notation does not use."""
     if notation not in _LEXERS:
-        table: dict[str, _Entry] = {_END: (_CLOSE, 0, 0, None)}
+        table: dict[str, _Entry] = {}
+        for role, spellings in _SPELLINGS[notation].items():
+            if isinstance(role, TruthValue):
+                entry = (_OPERAND, 0, 0, Constant(role))
+            elif role == "not":
+                entry = (_PREFIX, 2 * _PREFIX_PRECEDENCE, 0, None)
+            elif role == "postnot":
+                entry = (_POSTFIX, 0, 0, None)
+            else:
+                precedence, nests_left = _BINARY_OPERATORS[role]
+                reach = 2 * precedence - 1 if nests_left else 2 * precedence
+                entry = (_BINARY, 2 * precedence, reach, role)
+            table.update(dict.fromkeys(spellings, entry))
+        words = RESERVED_WORDS[notation]
+        symbols = sorted((lexeme for lexeme in table if lexeme not in words),
+                         key=len, reverse=True)
+        table[_END] = (_CLOSE, 0, 0, None)
         for opener, closer in _MATCHING_CLOSE.items():
             table[opener] = (_OPEN, 0, 0, closer)
             table[closer] = (_CLOSE, 0, 0, None)
-        for word, value in RESERVED_WORDS[notation].items():
-            table[word] = (_OPERAND, 0, 0, Constant(value))
-        for symbol, kind in _INPUT_SYMBOLS[notation]:
-            if isinstance(kind, TruthValue):
-                table[symbol] = (_OPERAND, 0, 0, Constant(kind))
-            elif kind == "not":
-                table[symbol] = (_PREFIX, 2 * _PREFIX_PRECEDENCE, 0, None)
-            elif kind == "postnot":
-                table[symbol] = (_POSTFIX, 0, 0, None)
-            else:
-                precedence, nests_left, conn = _BINARY_OPERATORS[kind]
-                reach = 2 * precedence - 1 if nests_left else 2 * precedence
-                table[symbol] = (_BINARY, 2 * precedence, reach, conn)
-        symbols = sorted((lit for lit, _ in _INPUT_SYMBOLS[notation]),
-                         key=len, reverse=True)
         pattern = re.compile(r"\s*([([{]|[)\]}]|[A-Za-z][A-Za-z0-9_]*|"
                              + "|".join(map(re.escape, symbols)) + r"|\S)")
         _LEXERS[notation] = pattern, table
@@ -387,14 +380,6 @@ EXPANSIONS: dict[str, Callable[[Formula, Formula], Formula]] = {
     "constant-true": _const_true,
 }
 
-_BASE_PRIMITIVES = {"implication", "conjunction", "disjunction"}
-
-PRIMITIVE_CONNECTIVES: dict[Notation, frozenset[str]] = {
-    n: frozenset(_BASE_PRIMITIVES | ({"equivalence"} if n in _HAS_EQUIV else set()))
-    for n in Notation
-}
-
-
 #: Connectives whose expansion is a negation, so it is never bracketed.
 _NEGATED_EXPANSIONS = frozenset(
     name for name, expand in EXPANSIONS.items()
@@ -438,70 +423,39 @@ def expand_for(formula: Formula, notation: Notation) -> Formula:
 # ---------------------------------------------------------------------------
 # rendering
 
-class _RenderSymbols(Record):
-    impl: str
-    and_: str
-    or_: str
-    const_t: str
-    const_f: str
-    equiv: str | None = None
-    neg_prefix: str | None = None
-    neg_postfix: str | None = None
-    macron: bool = False
-
-
-_RENDER: dict[tuple[Notation, str], _RenderSymbols] = {
-    (Notation.PEIRCE, "unicode"): _RenderSymbols(
-        "≺", "·", "+", "v", "f", neg_prefix="-", macron=True),
-    (Notation.PEIRCE, "ascii"): _RenderSymbols(
-        "-<", "*", "+", "v", "f", neg_prefix="-"),
-    (Notation.SCHROEDER, "unicode"): _RenderSymbols(
-        "⋐", "·", "+", "1", "0", neg_postfix=PRIME),
-    (Notation.SCHROEDER, "ascii"): _RenderSymbols(
-        "=<", "*", "+", "1", "0", neg_postfix="'"),
-    (Notation.PEANO_RUSSELL, "unicode"): _RenderSymbols(
-        "⊃", "·", "∨", "⊤", "⊥",
-        equiv="≡", neg_prefix="∼"),
-    (Notation.PEANO_RUSSELL, "ascii"): _RenderSymbols(
-        ">", ".", "|", "T", "F", equiv="==", neg_prefix="~"),
-    (Notation.MODERN, "unicode"): _RenderSymbols(
-        "→", "∧", "∨", "⊤", "⊥",
-        equiv="↔", neg_prefix="¬"),
-    (Notation.MODERN, "ascii"): _RenderSymbols(
-        "->", "&", "|", "T", "F", equiv="<->", neg_prefix="!"),
-}
-
-_BINARY_SYMBOL_FIELD = {
-    "implication": "impl",
-    "conjunction": "and_",
-    "disjunction": "or_",
-    "equivalence": "equiv",
-}
-
-
 class _Layout:
-    """A pair's literal strings around a node's operands (see `_frame`)."""
+    """A pair's literal strings around a node's operands (see `_frame`),
+    read from the notation's spellings at the encoding's index."""
 
-    __slots__ = ("binaries", "negations", "macron", "constants")
+    __slots__ = ("binaries", "negations", "overbar", "constants")
 
-    def __init__(self, syms: _RenderSymbols) -> None:
+    def __init__(self, notation: Notation, encoding: str) -> None:
+        at = _ENCODINGS.index(encoding)
+        spelt = {role: spellings[at] for role, spellings in _SPELLINGS[notation].items()
+                 if at < len(spellings)}
         # Each binary's frames by 2 * (left bracketed) + (right bracketed).
         self.binaries: dict[str, tuple[tuple[str, str, str], ...]] = {}
-        for name, field in _BINARY_SYMBOL_FIELD.items():
-            if getattr(syms, field) is not None:
-                middle = f" {getattr(syms, field)} "
-                self.binaries[name] = (("", middle, ""), ("", middle + "(", ")"),
-                                       ("(", ")" + middle, ""), ("(", ")" + middle + "(", ")"))
-        # A negation's frames by whether its operand is bracketed.
-        if syms.neg_postfix is not None:
-            self.negations = (("", syms.neg_postfix), ("(", ")" + syms.neg_postfix))
+        for role, symbol in spelt.items():
+            if isinstance(role, Connective):
+                middle = f" {symbol} "
+                self.binaries[role.name] = (("", middle, ""), ("", middle + "(", ")"),
+                                            ("(", ")" + middle, ""), ("(", ")" + middle + "(", ")"))
+        # A negation's frames by whether its operand is bracketed.  A notation
+        # with a prefix mark writes its postfix one, if the encoding has it,
+        # over a one-character atom only.
+        if "not" in spelt:
+            prefix = spelt["not"]
+            self.negations = ((prefix, ""), (prefix + "(", ")"))
+            self.overbar = spelt.get("postnot", "")
         else:
-            self.negations = ((syms.neg_prefix, ""), (syms.neg_prefix + "(", ")"))
-        self.macron = syms.macron
-        self.constants = {TruthValue.T: syms.const_t, TruthValue.F: syms.const_f}
+            postfix = spelt["postnot"]
+            self.negations = (("", postfix), ("(", ")" + postfix))
+            self.overbar = ""
+        self.constants = {value: spelt[value] for value in TruthValue}
 
 
-_LAYOUTS = {key: _Layout(syms) for key, syms in _RENDER.items()}
+_LAYOUTS = {(notation, encoding): _Layout(notation, encoding)
+            for notation in Notation for encoding in _ENCODINGS}
 
 
 def _bracketed(node: Formula) -> bool:
@@ -519,11 +473,11 @@ def _frame(node: Formula, layout: _Layout) -> tuple[str, ...]:
             2 * _bracketed(node.left) + _bracketed(node.right)]
     if type(node) is Negation:
         operand = node.operand
-        if layout.macron and (
+        if layout.overbar and (
             type(operand) is Constant
             or (type(operand) is Variable and len(operand.name) == 1)
         ):
-            return "", MACRON
+            return "", layout.overbar
         return layout.negations[_bracketed(operand)]
     if type(node) is Variable:
         return (node.name,)

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from illation import indirect
 from illation.bivalent import classify, evaluate
 from illation.core import (
     CONNECTIVES,
@@ -342,6 +343,23 @@ class TestTraceSteps:
         for out_of_range in (len(listed), -len(listed) - 1):
             with pytest.raises(IndexError):
                 steps[out_of_range]
+
+    def test_an_index_builds_only_its_step(self, monkeypatch):
+        built = []
+
+        class CountedStep(TraceStep):
+            def __init__(self, *fields):
+                built.append(self)
+                super().__init__(*fields)
+
+        monkeypatch.setattr(indirect, "TraceStep", CountedStep)
+        steps = indirect_check(xor_equivalence(5)).trace.steps
+        listed = list(steps)
+        built.clear()
+        assert steps[-1] == listed[-1]
+        assert built == [listed[-1]]
+        assert steps[3] == listed[3]
+        assert len(built) == 2
 
     def test_results_compare_equal(self):
         first, second = (indirect_check(pa(self.FORMULA)) for _ in range(2))

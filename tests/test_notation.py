@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from illation import notation as notation_module
 from illation.bivalent import truth_table
 from illation.core import (
-    Binary,
+    CONJUNCTION,
     CONNECTIVES,
+    DISJUNCTION,
+    EQUIVALENCE,
+    IMPLICATION,
+    Binary,
     Constant,
     Negation,
     TruthValue,
@@ -27,6 +32,7 @@ from illation.notation import (
     EXPANSIONS,
     Notation,
     PRIMITIVE_CONNECTIVES,
+    RESERVED_WORDS,
     ParseError,
     SyntaxConfig,
     display_width,
@@ -324,6 +330,85 @@ class TestRendering:
         assert render(e, cfg("peano-russell", "ascii")) == "a == b"
         assert render(e, cfg("peirce", "ascii")) == "(a * b) + (-a * -b)"
         assert render(e, cfg("schroeder", "ascii")) == "(a * b) + (a' * b')"
+
+
+class TestSpellings:
+    """Each notation's symbols spelt out: its reserved words, its primitive
+    connectives, what every spelling of every role parses to, and the
+    renderings of FORMS in each encoding."""
+
+    FORMS = (implies(A, B), conj(A, B), disj(A, B), equiv(A, B),
+             Negation(A), Negation(conj(A, B)), Constant(T), Constant(F))
+    BINARIES = {"implication", "conjunction", "disjunction"}
+
+    # notation: (reserved words, primitive connectives, spellings by role,
+    #            renderings of FORMS by encoding)
+    TABLES = {
+        "peirce": (
+            {"v": T, "f": F},
+            BINARIES,
+            {IMPLICATION: ("≺", "-<"), CONJUNCTION: ("·", "*"), DISJUNCTION: ("+",),
+             "not": ("-",), "postnot": ("\u0304",), T: ("v",), F: ("f",)},
+            {"unicode": ("a ≺ b", "a · b", "a + b", "(a · b) + (a\u0304 · b\u0304)",
+                         "a\u0304", "-(a · b)", "v", "f"),
+             "ascii": ("a -< b", "a * b", "a + b", "(a * b) + (-a * -b)",
+                       "-a", "-(a * b)", "v", "f")},
+        ),
+        "schroeder": (
+            {},
+            BINARIES,
+            {IMPLICATION: ("⋐", "=<", "⊆"), CONJUNCTION: ("·", "*"),
+             DISJUNCTION: ("+",), "postnot": ("′", "'"), T: ("1",), F: ("0",)},
+            {"unicode": ("a ⋐ b", "a · b", "a + b", "(a · b) + (a′ · b′)",
+                         "a′", "(a · b)′", "1", "0"),
+             "ascii": ("a =< b", "a * b", "a + b", "(a * b) + (a' * b')",
+                       "a'", "(a * b)'", "1", "0")},
+        ),
+        "peano-russell": (
+            {"T": T, "F": F},
+            BINARIES | {"equivalence"},
+            {IMPLICATION: ("⊃", ">"), EQUIVALENCE: ("≡", "=="), CONJUNCTION: ("·", "."),
+             DISJUNCTION: ("∨", "|"), "not": ("∼", "~"), T: ("⊤", "T"), F: ("⊥", "F")},
+            {"unicode": ("a ⊃ b", "a · b", "a ∨ b", "a ≡ b", "∼a", "∼(a · b)", "⊤", "⊥"),
+             "ascii": ("a > b", "a . b", "a | b", "a == b", "~a", "~(a . b)", "T", "F")},
+        ),
+        "modern": (
+            {"T": T, "F": F},
+            BINARIES | {"equivalence"},
+            {IMPLICATION: ("→", "->"), EQUIVALENCE: ("↔", "<->"), CONJUNCTION: ("∧", "&"),
+             DISJUNCTION: ("∨", "|"), "not": ("¬", "!"), T: ("⊤", "T"), F: ("⊥", "F")},
+            {"unicode": ("a → b", "a ∧ b", "a ∨ b", "a ↔ b", "¬a", "¬(a ∧ b)", "⊤", "⊥"),
+             "ascii": ("a -> b", "a & b", "a | b", "a <-> b", "!a", "!(a & b)", "T", "F")},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_symbols_are_pinned(self, name):
+        reserved, primitives, spellings, renderings = self.TABLES[name]
+        notation = Notation(name)
+        assert RESERVED_WORDS[notation] == reserved
+        assert PRIMITIVE_CONNECTIVES[notation] == primitives
+        config = SyntaxConfig(notation)
+        for role, spelt in spellings.items():
+            for symbol in spelt:
+                if role == "not":
+                    assert parse(symbol + "a", config) == Negation(A)
+                elif role == "postnot":
+                    assert parse("a" + symbol, config) == Negation(A)
+                elif role in (T, F):
+                    assert parse(symbol, config) == Constant(role)
+                else:
+                    assert parse(f"a {symbol} b", config) == Binary(role, A, B)
+        assert spellings == {role: tuple(dict.fromkeys(spelt)) for role, spelt
+                             in notation_module._SPELLINGS[notation].items()}
+
+    @pytest.mark.parametrize(("name", "encoding"),
+                             [(name, encoding) for name in TABLES
+                              for encoding in ("unicode", "ascii")])
+    def test_renderings_are_pinned(self, name, encoding):
+        expected = self.TABLES[name][3][encoding]
+        config = SyntaxConfig(Notation(name), encoding)
+        assert tuple(render(form, config) for form in self.FORMS) == expected
 
 
 class TestExpansions:

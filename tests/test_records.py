@@ -24,7 +24,6 @@ def samples() -> dict[type, object]:
         diagnostic = exc.diagnostic
     found = [
         CONNECTIVES[12], notation.SyntaxConfig(Notation.PEIRCE, "ascii"), diagnostic,
-        notation._RENDER[Notation.PEIRCE, "unicode"],
         bivalent.truth_table(parse("a | !b"), row_order="f-first"),
         bivalent.matrix_table(IMPLICATION), bivalent.classify(parse("a -> b")),
         bivalent.entails([parse("a | b")], parse("a")),
@@ -80,7 +79,7 @@ def test_every_record_type_has_a_sample():
     defined = {value for module in MODULES for value in vars(module).values()
                if isinstance(value, type) and issubclass(value, Record) and value is not Record}
     assert defined == set(SAMPLES)
-    assert len(defined) == 23  # Connective and the 22 result and configuration types
+    assert len(defined) == 22  # Connective and the 21 result and configuration types
 
 
 @pytest.fixture(params=RECORD_TYPES, ids=lambda cls: cls.__qualname__)
