@@ -29,16 +29,19 @@ Unconstrained variables may be completed arbitrarily: evaluation still
 yields f.
 
 The search is one loop over one trail of bindings, each coded as
-2 * column + bit, with bit 0 for t and 1 for f.  Each code's rule is made
-once, when it is first reached, as either the codes it forces (a tuple,
-empty for a variable) or its cases (a list); a rule that closes forces the
-node's own column to the other value.  Propagation walks the trail from a
-mark and binds what each rule forces; a code whose rule splits waits in
-`pending`.  An open branch splits on its next pending code, and each open
-split is kept as [mark, pending depth, cases, next case index]: a case
-binds its columns from the mark, and backtracking unbinds them back to it.
-Each binding is appended to the trace's codes as it is made and each step
-to its notes, bases and ends, so a trace holds bindings, not snapshots.
+2 * column + bit, with bit 0 for t and 1 for f.  A flag per code is set
+while its column is bound to its bit: a binding is held when its own flag
+is set and conflicts when the flag of code ^ 1 is.  Each code's rule is
+made once, when it is first reached, as either the codes it forces (a
+tuple, empty for a variable) or its cases (a list); a rule that closes
+forces the node's own column to the other value.  Propagation walks the
+trail from a mark and binds what each rule forces; a code whose rule splits
+waits in `pending`.  An open branch splits on its next pending code, and
+each open split is kept as (mark, pending depth, an iterator over its
+cases): a case binds its columns from the mark, and backtracking unbinds
+them back to it.  Each binding is appended to the trace's codes as it is
+made and each step to its notes and bases (see `TraceSteps`), so a trace
+holds bindings, not snapshots.
 A budget of steps is checked where a branch opens and at the end; between
 two branch opens the loop records at most a few steps per column.
 """
@@ -56,6 +59,7 @@ NOTES = NOTE_ROOT, NOTE_FORCED, NOTE_BRANCH_OPEN, NOTE_BRANCH_CLOSED = (
     "root-assumption", "forced", "branch-open", "branch-closed")
 _ROOT, _FORCED, _OPEN, _CLOSED = range(4)
 _VALUES = (TruthValue.T, TruthValue.F)  # indexed by a binding's bit
+_NOTE_CODES = bytes(byte & 3 for byte in range(256))  # a note byte's note code
 
 
 class TraceStep(Record):
@@ -73,34 +77,35 @@ class TraceStep(Record):
 
 
 class TraceSteps(Record, Sequence):
-    """The steps of a trace as per-step bindings: step s has its note, the
-    trail depth it starts from (its base) and the codes it bound, up to any
-    conflict: codes[ends[s-1]:ends[s]].  Reading steps replays these deltas
+    """The steps of a trace as per-step bindings: step s has its base, the
+    trail depth it starts from, and its note byte: its note's code plus 4
+    times the count of codes it bound (0 to 2, up to any conflict), which
+    follow the earlier steps' in `codes`.  Reading steps replays these deltas
     from the first step into `TraceStep` snapshots; `len` never replays."""
 
     width: int
     notes: bytearray
     bases: array
-    ends: array
     codes: array
 
     def __len__(self) -> int:
         return len(self.notes)
 
     def __getitem__(self, key):
-        if isinstance(key, slice):  # builds every snapshot, then slices
-            return tuple(self)[key]
-        return next(self._steps(range(len(self))[key]))
+        span = range(len(self))[key]
+        if not isinstance(key, slice):
+            return next(self._steps(range(span, span + 1)))
+        # One replay builds the span forward; a negative stride reverses it.
+        built = tuple(self._steps(span if span.step > 0 else span[::-1]))
+        return built if span.step > 0 else built[::-1]
 
     def __iter__(self) -> Iterator[TraceStep]:
-        return self._steps(0)
+        return self._steps(range(len(self)))
 
-    def _steps(self, start: int) -> Iterator[TraceStep]:
-        """The snapshots from step `start` on; the replay passes the earlier
-        steps without building theirs."""
+    def _steps(self, span: range) -> Iterator[TraceStep]:
+        """The snapshots of the steps in `span`, a forward range, from one replay."""
         rows = self._replay([None] * (self.width + 1), _VALUES * self.width, NOTES)
-        next(islice(rows, start, start), None)
-        for row in rows:
+        for row in islice(rows, span.start, span.stop, span.step):
             yield TraceStep(tuple(row[:-1]), row[-1])
 
     def __reversed__(self) -> Iterator[TraceStep]:
@@ -110,23 +115,25 @@ class TraceSteps(Record, Sequence):
         """Replay the steps into `row`, one item per column and one more,
         and yield it once per step with that step's columns current and its
         last item endings[the step's note code]: code c shows cells[c], an
-        unbound column its item in `row` as given.  A step that unbinds or
-        binds nothing (most closed branches) costs no loop."""
+        unbound column its item in `row` as given.  Binding takes no loop, and
+        a step that unbinds nothing (most closed branches) takes none at all."""
         dashes = row[:]
-        codes = self.codes.tolist()
+        take = iter(self.codes).__next__  # the codes bound, in the steps' order
+        endings = [*endings] * 3  # indexed by the whole note byte
         trail: list[int] = []
-        start = 0
-        for note, base, end in zip(self.notes, self.bases, self.ends):
+        for note, base in zip(self.notes, self.bases):
             if base < len(trail):
                 for code in trail[base:]:
                     row[code >> 1] = dashes[code >> 1]
                 del trail[base:]
-            if start < end:
-                added = codes[start:end]
-                for code in added:
+            if note > 3:  # the step binds one code, or two
+                code = take()
+                row[code >> 1] = cells[code]
+                trail.append(code)
+                if note > 7:
+                    code = take()
                     row[code >> 1] = cells[code]
-                trail += added
-                start = end
+                    trail.append(code)
             row[-1] = endings[note]
             yield row
 
@@ -147,11 +154,10 @@ class TraceSteps(Record, Sequence):
         """The length of what `rows` writes, from the arrays without a replay:
         each note's line count, and the dashes, every column of every step
         but the ones its trail binds (its base and the codes it added)."""
-        notes = self.notes
-        bound = sum(self.bases) + sum(self.ends[-1:])
+        notes = self.notes.translate(_NOTE_CODES)
         return grid_size(cells, opening, closing,
                          [(ending, notes.count(code)) for code, ending in enumerate(endings)],
-                         len(notes) * self.width - bound)
+                         len(notes) * self.width - sum(self.bases) - len(self.codes))
 
 
 class IndirectTrace(Record):
@@ -186,13 +192,11 @@ def _connective_rule(conn: Connective, w: TruthValue) -> _Rule:
     forced = tuple((pos, *bits) for pos, bits in enumerate(agreed) if len(bits) == 1)
     if forced:
         return forced, ()
-    cases = dict.fromkeys(
+    return (), tuple(dict.fromkeys(
         ((0, p),) if (p, 1 - q) in support
         else ((1, q),) if (1 - p, q) in support
         else ((0, p), (1, q))
-        for p, q in support
-    )
-    return (), tuple(cases)
+        for p, q in support))
 
 
 _CONNECTIVE_RULES: dict[int, _Table] = {
@@ -233,8 +237,7 @@ class StepLimitError(Exception):
 
     def __init__(self, steps: int, limit: int) -> None:
         super().__init__(f"the trace holds more than {limit} steps")
-        self.steps = steps
-        self.limit = limit
+        self.steps, self.limit = steps, limit
 
 
 def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectResult:
@@ -247,24 +250,22 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
     width = len(columns)
     budget = float("inf") if max_steps is None else max_steps
     rules: list = [None] * (2 * width)  # each code's rule in codes, made on first use
-    values = [-1] * width  # each column's bit, -1 for a dash
     trail = [2 * width - 1]  # the codes bound on this branch: first, the whole formula is f
-    values[-1] = 1
+    bound = [False] * (2 * width - 1) + [True]  # per code: is its column bound to its bit?
     pending: list[int] = []  # codes whose rule splits, in the order reached
-    # Each binding is appended to `codes` as it is made, and a step is
-    # recorded as its note, its base (the trail's length where it began)
-    # and the end of its codes, which are those bound since the last step.
-    notes, bases, ends = bytearray([_ROOT]), array("i", [0]), array("i", [1])
-    codes = array("i", trail)
+    # Each binding is appended to `codes` as it is made, and a step is recorded
+    # as its base (the trail's length where it began) and its note, with the
+    # count of codes it bound (those bound since the last step) above it.
+    notes, bases, codes = bytearray([_ROOT | 1 << 2]), array("i", [0]), array("i", trail)
     # The splits still open, outermost first: the k-th splits on pending[k],
     # binding its cases from trail[mark], with pending[:depth] reached, and
-    # holds [mark, depth, cases, the index of its next case].
-    splits: list[list] = []
-    mark = 0
-    falsifiable = False
+    # holds (mark, depth, an iterator over its cases).
+    splits: list[tuple] = []
+    size, waiting, opened = 1, 0, 0  # the lengths of trail, pending and splits
+    mark, falsifiable = 0, False
     while True:
         # Propagate from trail[mark]; a conflict closes the branch.
-        while mark < len(trail):
+        while mark < size:
             code = trail[mark]
             mark += 1
             rule = rules[code]
@@ -274,59 +275,58 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
                 continue
             if type(rule) is list:
                 pending.append(code)
+                waiting += 1
                 continue
-            base = len(trail)
+            base = size
             for forced in rule:
-                held = values[forced >> 1]
-                if held < 0:
-                    values[forced >> 1] = forced & 1
+                if bound[forced ^ 1]:
+                    break
+                if not bound[forced]:
+                    bound[forced] = True
                     trail.append(forced)
                     codes.append(forced)
-                elif held != forced & 1:
-                    break
+                    size += 1
             else:
-                if len(trail) > base:
-                    notes.append(_FORCED)
+                if size > base:
+                    notes.append(_FORCED | (size - base) << 2)
                     bases.append(base)
-                    ends.append(len(codes))
                 continue
-            notes.append(_CLOSED)
+            notes.append(_CLOSED | (size - base) << 2)
             bases.append(base)
-            ends.append(len(codes))
             break
         else:  # the branch is open: split on the next pending code, if any
-            if len(splits) == len(pending):
+            if opened == waiting:
                 falsifiable = True
                 break
-            splits.append([mark, len(pending), rules[pending[len(splits)]], 0])
+            splits.append((mark, waiting, iter(rules[pending[opened]])))
+            opened += 1
         # Undo the last case; open the next case of the innermost split that
         # has one left.
-        while splits:
-            split = splits[-1]
-            mark, depth, cases, index = split
-            if len(trail) > mark:  # undo the case tried last
+        while opened:
+            mark, depth, cases = splits[-1]
+            if size > mark:  # undo the case tried last
                 for code in trail[mark:]:
-                    values[code >> 1] = -1
+                    bound[code] = False
                 del trail[mark:], pending[depth:]
-            if index == len(cases):
+                size, waiting = mark, depth
+            case = next(cases, None)
+            if case is None:
                 splits.pop()
+                opened -= 1
                 continue
-            split[3] = index + 1
-            for code in cases[index]:
-                held = values[code >> 1]
-                if held < 0:
-                    values[code >> 1] = code & 1
+            for code in case:
+                if bound[code ^ 1]:
+                    notes.append(_CLOSED | (size - mark) << 2)
+                    bases.append(mark)
+                    break
+                if not bound[code]:
+                    bound[code] = True
                     trail.append(code)
                     codes.append(code)
-                elif held != code & 1:
-                    notes.append(_CLOSED)
-                    bases.append(mark)
-                    ends.append(len(codes))
-                    break
+                    size += 1
             else:
-                notes.append(_OPEN)
+                notes.append(_OPEN | (size - mark) << 2)
                 bases.append(mark)
-                ends.append(len(codes))
                 if len(notes) > budget:
                     raise StepLimitError(len(notes), max_steps)
                 break
@@ -334,14 +334,14 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
             break
     if len(notes) > budget:
         raise StepLimitError(len(notes), max_steps)
-    trace = IndirectTrace(tuple(columns), TraceSteps(width, notes, bases, ends, codes))
+    trace = IndirectTrace(tuple(columns), TraceSteps(width, notes, bases, codes))
     if not falsifiable:
         return IndirectResult("tautology", None, (), trace)
     # Post-order meets the variables in first-occurrence order.
-    found = {node.name: values[j] for j, node in enumerate(columns)
+    flags = {node.name: bound[2 * j:2 * j + 2] for j, node in enumerate(columns)
              if isinstance(node, Variable)}
-    countermodel = {name: _VALUES[bit] for name, bit in found.items() if bit >= 0}
-    unconstrained = tuple(name for name, bit in found.items() if bit < 0)
+    countermodel = {name: _VALUES[f] for name, (t, f) in flags.items() if t or f}
+    unconstrained = tuple(name for name, (t, f) in flags.items() if not (t or f))
     return IndirectResult("falsifiable", countermodel, unconstrained, trace)
 
 

@@ -4,12 +4,13 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import product
 
 import pytest
 
-from illation import indirect
+from illation import cli, indirect
 from illation.bivalent import classify, evaluate
 from illation.core import (
     CONNECTIVES,
@@ -35,6 +36,7 @@ from illation.indirect import (
     TraceStep,
     indirect_check,
     render_trace,
+    text_layout,
 )
 from illation.notation import Notation, SyntaxConfig, parse, render
 
@@ -344,7 +346,9 @@ class TestTraceSteps:
             with pytest.raises(IndexError):
                 steps[out_of_range]
 
-    def test_an_index_builds_only_its_step(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The snapshots built while the test runs, in order."""
         built = []
 
         class CountedStep(TraceStep):
@@ -353,6 +357,9 @@ class TestTraceSteps:
                 super().__init__(*fields)
 
         monkeypatch.setattr(indirect, "TraceStep", CountedStep)
+        return built
+
+    def test_an_index_builds_only_its_step(self, built):
         steps = indirect_check(xor_equivalence(5)).trace.steps
         listed = list(steps)
         built.clear()
@@ -360,6 +367,21 @@ class TestTraceSteps:
         assert built == [listed[-1]]
         assert steps[3] == listed[3]
         assert len(built) == 2
+
+    def test_a_slice_builds_only_its_steps(self, built):
+        steps = indirect_check(xor_equivalence(5)).trace.steps
+        listed = tuple(list(steps))
+        built.clear()
+        assert steps[-2:] == listed[-2:]
+        assert len(built) == 2
+        built.clear()
+        assert steps[5:2] == ()
+        assert built == []
+        n = len(listed)
+        for key in product((None, 0, 3, -4, n + 1), (None, 2, -1, -n - 1), (None, 1, 2, -1, -3)):
+            built.clear()
+            assert steps[slice(*key)] == listed[slice(*key)], key
+            assert len(built) == len(listed[slice(*key)]), key
 
     def test_results_compare_equal(self):
         first, second = (indirect_check(pa(self.FORMULA)) for _ in range(2))
@@ -379,9 +401,36 @@ class TestTraceSteps:
                 assert cells.split() == [symbols[v] for v in step.values]
                 assert note == step.note
 
+    def test_xor_equivalence_notes_are_pinned(self):
+        """The steps and each note's count at n = 9 and 10: every step after
+        the root opens or closes a branch, and none is forced."""
+        for n, steps, opened, closed in ((9, 15359, 7678, 7680), (10, 34815, 17406, 17408)):
+            trace = indirect_check(xor_equivalence(n)).trace
+            assert len(trace.steps) == steps
+            assert Counter(step.note for step in trace.steps) == {
+                NOTE_ROOT: 1, NOTE_BRANCH_OPEN: opened, NOTE_BRANCH_CLOSED: closed}
+
+    def test_rows_size_is_the_written_length(self):
+        """In the text and the JSON layout, for every corpus trace; the corpus
+        holds steps that close after binding one code of two."""
+        closed_after_one = indirect.NOTES.index(NOTE_BRANCH_CLOSED) | 1 << 2  # the note byte
+        seen = 0
+        for formula in corpus_527():
+            trace = indirect_check(formula).trace
+            seen += trace.steps.notes.count(closed_after_one)
+            assert max(trace.steps.notes) < 3 << 2  # no step binds more than two codes
+            for layout in ((text_layout(trace.columns)[1], indirect.NOTES, "\n", "| "),
+                           cli._json_steps(trace.steps.width)):
+                written = "".join(piece for pieces in trace.steps.rows(*layout)
+                                  for piece in pieces)
+                assert trace.steps.rows_size(*layout) == len(written)
+        assert seen
+
     def test_trace_memory_follows_the_bindings(self):
         """n = 10 xor-equivalence: 34,815 steps over 29 columns.  Snapshots
-        of every step held about 12 MB; the bindings take well under 2 MB."""
+        of every step held about 12 MB.  The bindings (a note byte and a base
+        per step, and the codes bound) take about 0.33 MB; they took 0.48 MB
+        when each step also kept where its codes end."""
         xs = [Variable(f"x{i}") for i in range(10)]
         formula = equiv(reduce(equiv, xs), reduce(equiv, xs[::-1]))
         tracemalloc.start()
@@ -391,7 +440,7 @@ class TestTraceSteps:
         finally:
             tracemalloc.stop()
         assert (len(result.trace.steps), len(result.trace.columns)) == (34815, 29)
-        assert retained < 2_000_000
+        assert retained < 400_000
 
     def test_a_call_leaves_nothing_for_the_collector(self):
         """The search keeps no self-referencing closures, so all of its
