@@ -14,7 +14,7 @@ the descriptor line is the precise statement.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from itertools import islice, product
+from itertools import product
 
 from .bivalent import MatrixTable, apply_mask, variable_masks
 from .core import (
@@ -246,23 +246,43 @@ class EnumerationResult(Record):
         return sum(s.distinct for s in self.per_slot)
 
 
-def _tautologies(policy: str, max_slots: int, variables: list[Variable],
-                 leaf_masks: list[int], full: int) -> Iterator[EmittedTautology]:
-    """The tautologies in enumeration order, each built as a tree only when
-    it is drawn."""
-    for slots in range(max_slots + 1):
+def tautology_groups(spec: EnumerationSpec) -> Iterator[tuple]:
+    """The tautologies `enumerate_tautologies(spec)` emits, in groups of
+    (slot count, shape, connectives, leaf choices): one per filled shape
+    that has any, in enumeration order, the last cut at the emit limit; at
+    limit 0 nothing is scanned.  A group's formulas differ only in their
+    one-letter leaves, so in every notation and encoding they render to one
+    length.  `filled` builds each formula."""
+    left = spec.emit_limit
+    if left == 0:
+        return
+    names = VARIABLE_POOL[: spec.max_variables]
+    masks, full = variable_masks(names)
+    leaf_masks, variables = list(masks.values()), [Variable(n) for n in names]
+    for slots in range(spec.max_connective_slots + 1):
         leaf_choices = list(product(variables, repeat=slots + 1))
-        for shape in _shapes_for(policy, slots):
+        for shape in _shapes_for(spec.shape_policy, slots):
             for conns in product(CONNECTIVES, repeat=slots):
                 # Every leaf choice at once, in leaf-odometer order.
                 vectors = _fold(shape, iter(conns), lambda: leaf_masks,
                                 lambda c, l, r: [apply_mask(c, a, b, full)
                                                  for a in l for b in r])
-                for leaves, vector in zip(leaf_choices, vectors):
-                    if vector == full:
-                        formula = _fold(shape, iter(conns), iter(leaves).__next__,
-                                        Binary)
-                        yield EmittedTautology(formula, conns, slots)
+                group = [leaves for leaves, vector in zip(leaf_choices, vectors)
+                         if vector == full]
+                if group:
+                    if left is not None:
+                        group = group[:left]
+                        left -= len(group)
+                    yield slots, shape, conns, group
+                    if left == 0:
+                        return
+
+
+def filled(shape: _Shape, conns: Sequence[Connective],
+           leaves: Sequence[Variable]) -> Formula:
+    """The formula of `shape` with `conns` in pre-order and `leaves` left to
+    right."""
+    return _fold(shape, iter(conns), iter(leaves).__next__, Binary)  # type: ignore[return-value]
 
 
 def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
@@ -282,16 +302,7 @@ def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
                           list(masks.values()), full)
     per_slot = tuple(SlotSummary(k, sum(m.values()), m.get(full, 0))
                      for k, m in enumerate(maps))
-    return EnumerationResult(spec, emit_tautologies(spec), per_slot)
-
-
-def emit_tautologies(spec: EnumerationSpec) -> tuple[EmittedTautology, ...]:
-    """The tautologies `enumerate_tautologies(spec)` emits, drawn by the
-    scan alone: the per-slot counts are not computed."""
-    names = VARIABLE_POOL[: spec.max_variables]
-    masks, full = variable_masks(names)
-    # islice draws nothing at limit 0 and stops the scan once it is reached.
-    return tuple(islice(_tautologies(spec.shape_policy, spec.max_connective_slots,
-                                     [Variable(n) for n in names], list(masks.values()),
-                                     full),
-                        spec.emit_limit))
+    emitted = tuple(EmittedTautology(filled(shape, conns, leaves), conns, slots)
+                    for slots, shape, conns, group in tautology_groups(spec)
+                    for leaves in group)
+    return EnumerationResult(spec, emitted, per_slot)

@@ -6,13 +6,13 @@ define (e.g. a triadic implication); 4 exceeded size bounds: the variable
 limits, the enumerator's bounds, and the output bounds below.
 
 Formulas of any nesting depth are accepted.  What a command would print is
-bounded instead: its formula renderings, table rows and trace are
-measured in the form `--format` asks for before any text is built, and
-past OUTPUT_LIMIT characters the command exits 4 naming the predicted
-size; `indirect` stops its search once its steps' shortest lines alone
-would pass the limit, naming that lower bound, and `parse --format json`
-also exits 4, before rendering, when its `ast` would nest deeper than
-JSON_DEPTH_LIMIT.
+bounded instead: its renderings, table rows, trace or emitted tautologies
+are measured exactly in the form `--format` asks for before any text is
+built, and past OUTPUT_LIMIT characters the command exits 4 naming that
+size, or "more than" a lower bound that passes it first: `indirect` stops
+its search at a budget of shortest step lines, and `connectives enumerate`
+refuses on its counts or stops measuring once past the limit.  `parse
+--format json` exits 4 too, before rendering, past JSON_DEPTH_LIMIT levels.
 
 Output is deterministic: the same argv and input produce identical bytes.
 `--format json` emits one schema-stable JSON document per invocation,
@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 
 from . import __version__
-from .core import (CONNECTIVES, Binary, Connective, Constant, EnumerationBoundError,
+from .core import (CONNECTIVES, Connective, Constant, EnumerationBoundError,
                    Formula, MissingVariableError, Negation, TriadicValue, TruthValue,
                    UnsupportedConnectiveError, Variable, VariableLimitError, connective,
                    fold, grid_size, variables_of)
@@ -94,15 +94,15 @@ def _json_document(path: str, payload: dict) -> str:
                       ensure_ascii=False, indent=2)
 
 
-def _json_list(path: str, payload: dict, blocks: Iterator[str]) -> Iterator[str]:
+def _json_list(path: str, payload: dict, key: str, blocks: Iterator[str]) -> Iterator[str]:
     """`_json_document(path, payload)` with `blocks` as the items of the
-    empty list that ends `payload`, the text `json.dumps` gives for the
+    empty list at the top-level `key`, the text `json.dumps` gives for the
     whole, with no item built as a dict.  Every item starts with the comma
     before it, which the first drops."""
-    document = _json_document(path, payload)
-    yield document[:-len("]\n}")] + next(blocks)[1:]
+    head, opening, tail = _json_document(path, payload).partition(f'\n  "{key}": [')
+    yield head + opening + next(blocks)[1:]
     yield from blocks
-    yield "\n  ]\n}"
+    yield "\n  " + tail
 
 
 def _json_list_size(path: str, payload: dict, items: int) -> int:
@@ -391,8 +391,8 @@ def _table(args: argparse.Namespace, formula: Formula, config: SyntaxConfig,
     """The Output of the table `build()` makes, once the size of the form
     `--format` asks for is checked, before the table or its text is built,
     from the cells its writer lays out: a row per assignment of `values` to
-    the variables of `fields`, under the formula's rendering.  `fields`
-    follow the rendering in the JSON payload, the empty "rows" last; no
+    the variables of `fields`, under the formula's rendering.  `fields`,
+    with the empty "rows", follow the rendering in the JSON payload; no
     rendering holds a character JSON escapes."""
     from .bivalent import row_blocks, table_blocks, table_size
     names, header = fields["variables"], rendered_size(formula, config)
@@ -410,7 +410,7 @@ def _table(args: argparse.Namespace, formula: Formula, config: SyntaxConfig,
         rows = table.rows
         cells, opening, closing, endings = _json_rows(rows.variables, rows.cells)
         value_of = {code: endings[value] for code, value in rows.outcomes.items()}
-        return _json_list(args.path, {"rendering": rendering, **fields},
+        return _json_list(args.path, {"rendering": rendering, **fields}, "rows",
                           row_blocks(rows, cells, value_of, opening, closing))
 
     return Output(json_table,
@@ -543,7 +543,7 @@ def _cmd_indirect(args) -> Output:
     else:
         _check_size(len(head) + header + trace.steps.rows_size(*layout))
     return Output(lambda: _json_list(
-        args.path, payload([render(column, config) for column in trace.columns]),
+        args.path, payload([render(column, config) for column in trace.columns]), "steps",
         _blocks(trace.steps.rows(*layout))),
         lambda: _blocks(chain([[head]], trace_lines(trace, config))))
 
@@ -680,23 +680,6 @@ def _cmd_connectives_xframe(args) -> Output:
     }, lambda: render_xframe(frame))
 
 
-def _longest_renderings(max_slots: int, config: SyntaxConfig) -> list[int]:
-    """For each slot count, a bound on the rendered length of any formula
-    with that many connectives over one-letter variables: the longest
-    rendering of a connective over two variables that stand for operands of
-    the bounds below, with room for their brackets."""
-    bounds = [1]
-    for slots in range(1, max_slots + 1):
-        longest = 0
-        for i in range(slots):
-            left, right = (Variable("p" * (bounds[j] + 2)) for j in (i, slots - 1 - i))
-            for c in CONNECTIVES:
-                formula = Binary(c, left, right)
-                longest = max(longest, rendered_size(formula, config))
-        bounds.append(longest)
-    return bounds
-
-
 @_leaf("connectives enumerate", "enumerate tautologies by substitution",
        _arg("--vars", type=int, default=3, dest="max_variables"),
        _arg("--slots", type=int, default=3, dest="max_slots"),
@@ -705,64 +688,68 @@ def _longest_renderings(max_slots: int, config: SyntaxConfig) -> list[int]:
             help="print at most this many tautologies"),
        _arg("--count-only", action="store_true"))
 def _cmd_connectives_enumerate(args) -> Output:
-    from .atlas import EnumerationSpec, emit_tautologies, enumerate_tautologies
+    from .atlas import EnumerationSpec, enumerate_tautologies, filled, tautology_groups
     bounds = (args.max_variables, args.max_slots, args.shape)
     spec = EnumerationSpec(*bounds, args.emit_limit)
     # Count first: --count-only emits nothing, but --limit is still
     # validated above, and the counts bound the lines to be emitted.
     result = enumerate_tautologies(EnumerationSpec(*bounds, emit_limit=0))
     config = _config(args)
-    summary = [f"slots={s.slots}: generated={s.generated} "
-               f"tautologies={s.tautologies} distinct={s.distinct}"
-               for s in result.per_slot]
-    summary.append(f"total: generated={result.total_generated} "
-                   f"tautologies={result.total_tautologies} "
-                   f"distinct={result.total_distinct}")
-
+    summary = "\n".join([*(f"slots={s.slots}: generated={s.generated} tautologies="
+                           f"{s.tautologies} distinct={s.distinct}" for s in result.per_slot),
+                         f"total: generated={result.total_generated} tautologies="
+                         f"{result.total_tautologies} distinct={result.total_distinct}"])
     document = {
         "max_variables": spec.max_variables,
         "max_connective_slots": spec.max_connective_slots,
         "shape_policy": spec.shape_policy,
         "emitted": [],
-        "per_slot": [
-            {"slots": s.slots, "generated": s.generated,
-             "tautologies": s.tautologies, "distinct": s.distinct}
-            for s in result.per_slot
-        ],
+        "per_slot": [{"slots": s.slots, "generated": s.generated,
+                      "tautologies": s.tautologies, "distinct": s.distinct}
+                     for s in result.per_slot],
         "total_generated": result.total_generated,
         "total_tautologies": result.total_tautologies,
         "total_distinct": result.total_distinct,
     }
-    emitted = ()
-    if not args.count_only and spec.emit_limit != 0:
-        # Emission runs in slot order, so the counts say how many of each.
-        # A line takes at most its slot count's longest rendering and a line
-        # break; an entry of the JSON, that rendering, as many of the longest
-        # connective name as it has slots, and at most the first entry's
-        # shape (a later one's is two characters shorter).
-        if args.format_ == "json":
-            size = empty = len(_json_document(args.path, document))
-        else:
-            size = len("\n".join(summary))
-        name, left = max(len(c.name) for c in CONNECTIVES), spec.emit_limit
-        for s, longest in zip(result.per_slot,
-                              _longest_renderings(spec.max_connective_slots, config)):
-            drawn, line = min(left, s.tautologies), longest + 1
-            if args.format_ == "json":
-                entry = {"rendering": "", "connectives": [""] * s.slots, "slots": s.slots}
-                shape = len(_json_document(args.path, {**document, "emitted": [entry]}))
-                line = longest + s.slots * name + shape - empty
-            size += drawn * line
-            left -= drawn
-        _check_size(size)
-        # The counts are in hand: draw the emission without counting again.
-        emitted = emit_tautologies(spec)
+    # Emission runs in slot order, so the counts say how many lines of each
+    # slot count it draws.  A k-slot line holds at least its k + 1 leaves, k
+    # spaced symbols and a line break; the summary comes on top.
+    left, least = 0 if args.count_only else spec.emit_limit, 0
+    for s in result.per_slot:
+        drawn = min(left, s.tautologies)
+        left, least = left - drawn, least + drawn * (4 * s.slots + 2)
+    if not least:  # nothing to emit
+        return Output(lambda: document, lambda: summary)
+    _check_size(least, "more than ")
 
-    return Output(lambda: {**document, "emitted": [
-        {"rendering": render(e.formula, config),
-         "connectives": [c.name for c in e.connectives], "slots": e.slots}
-        for e in emitted
-    ]}, lambda: "\n".join([*(render(e.formula, config) for e in emitted), *summary]))
+    def around(slots: int, conns: tuple[Connective, ...]) -> tuple[str, str]:
+        """The text the form puts around each rendering of a group."""
+        if args.format_ == "text":
+            return "", "\n"
+        names = ",".join(f'\n        "{c.name}"' for c in conns)
+        return (',\n    {\n      "rendering": "',
+                f'",\n      "connectives": [{names}\n      ],\n      "slots": {slots}\n    }}')
+
+    # Measure the emission group by group, keeping each group's leaf choices
+    # (tuples the scan shares) for the writer.  Past the limit the scan
+    # stops, and a group after the last one measured would add to the output.
+    size = _json_list_size(args.path, document, 0) if args.format_ == "json" else len(summary)
+    scan, groups = tautology_groups(spec), []
+    for slots, shape, conns, group in scan:
+        opening, closing = around(slots, conns)
+        groups.append((shape, conns, group, opening, closing))
+        line = rendered_size(filled(shape, conns, group[0]), config)
+        size += len(group) * (len(opening) + line + len(closing))
+        if size > OUTPUT_LIMIT:
+            _check_size(size, "more than " if next(scan, None) else "")
+
+    def emission() -> Iterator[list[str]]:
+        for shape, conns, group, opening, closing in groups:
+            for leaves in group:
+                yield [opening, render(filled(shape, conns, leaves), config), closing]
+
+    return Output(lambda: _json_list(args.path, document, "emitted", _blocks(emission())),
+                  lambda: _blocks(chain(emission(), [[summary]])))
 
 
 @_leaf("syllogism render", "render one categorical form",

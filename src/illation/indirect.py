@@ -46,6 +46,8 @@ A budget of steps is checked where a branch opens and at the end; between
 two branch opens the loop records at most a few steps per column.
 """
 
+from __future__ import annotations
+
 from array import array
 from collections.abc import Iterator, Sequence
 from itertools import chain, islice

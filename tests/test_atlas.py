@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from illation import atlas
 from illation.atlas import (
     PRINTED_ANNOTATIONS,
     PRINTED_GRID,
@@ -17,14 +18,17 @@ from illation.atlas import (
     XFrame,
     connective_of_xframe,
     enumerate_tautologies,
+    filled,
     format_paper_table,
     identify,
     paper_table,
     render_xframe,
+    tautology_groups,
     xframe_of,
 )
 from illation.bivalent import classify, matrix_table
 from illation.core import CONNECTIVES, TruthValue, connective
+from illation.notation import Notation, SyntaxConfig, render
 
 from helpers import BOOL_OPS, reference_enumeration
 
@@ -334,3 +338,41 @@ class TestEnumeratorOutput:
         for summary in result.per_slot:
             trees = {e.formula for e in result.emitted if e.slots == summary.slots}
             assert len(trees) == summary.distinct == summary.tautologies
+
+
+class TestTautologyGroups:
+    CONFIGS = [SyntaxConfig(n, e) for n in Notation for e in ("unicode", "ascii")]
+
+    @pytest.mark.parametrize("variables, slots, policy", [
+        (3, 3, "right-combs"), (3, 2, "all-trees"), (2, 3, "all-trees"),
+    ])
+    def test_a_group_renders_to_one_length(self, variables, slots, policy):
+        """A group's formulas differ only in their one-letter leaves, and a
+        k-slot one is at least its k + 1 leaves and k spaced symbols long.
+        Up to two slots every group is rendered in every notation-encoding
+        pair; at three, each group in one pair, the pairs in turn."""
+        groups = tautology_groups(EnumerationSpec(variables, slots, policy))
+        for i, (k, shape, conns, group) in enumerate(groups):
+            for config in self.CONFIGS if k < 3 else self.CONFIGS[i % 8:i % 8 + 1]:
+                lengths = {len(render(filled(shape, conns, leaves), config))
+                           for leaves in group}
+                assert len(lengths) == 1 and min(lengths) >= 4 * k + 1, (conns, config)
+
+    @pytest.mark.parametrize("policy", SHAPE_POLICIES)
+    def test_one_group_per_filled_shape_cut_at_the_limit(self, policy):
+        full = list(tautology_groups(EnumerationSpec(3, 2, policy)))
+        assert len({(shape, conns) for _, shape, conns, _ in full}) == len(full)
+        assert all(group for *_, group in full)
+        flat = [(shape, conns, leaves) for _, shape, conns, group in full
+                for leaves in group]
+        for limit in (1, 17, 18, 19, 500):
+            groups = tautology_groups(EnumerationSpec(3, 2, policy, limit))
+            assert [(shape, conns, leaves) for _, shape, conns, group in groups
+                    for leaves in group] == flat[:limit]
+
+    def test_a_zero_limit_scans_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("emission scanned")
+        monkeypatch.setattr(atlas, "_shapes_for", refuse)
+        assert list(tautology_groups(EnumerationSpec(3, 5, "all-trees", 0))) == []
+        assert run(max_variables=3, max_connective_slots=5, emit_limit=0).emitted == ()

@@ -642,6 +642,54 @@ class TestConnectives:
         assert (code, err, counts.call_count) == (0, "", 1)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("policy", atlas.SHAPE_POLICIES)
+    def test_enumerate_streams_the_library_emission(self, policy):
+        """In every notation-encoding pair, both forms write what
+        `enumerate_tautologies` emits, each formula rendered, with the
+        summary the counts give: the text, or the document `json.dumps`
+        gives."""
+        result = atlas.enumerate_tautologies(atlas.EnumerationSpec(2, 2, policy, 500))
+        assert len(result.emitted) == {"right-combs": 362, "all-trees": 500}[policy]  # all, cut
+        per_slot = [{"slots": s.slots, "generated": s.generated,
+                     "tautologies": s.tautologies, "distinct": s.distinct}
+                    for s in result.per_slot]
+        summary = [f"slots={s['slots']}: generated={s['generated']} "
+                   f"tautologies={s['tautologies']} distinct={s['distinct']}"
+                   for s in per_slot]
+        summary.append(f"total: generated={result.total_generated} "
+                       f"tautologies={result.total_tautologies} "
+                       f"distinct={result.total_distinct}")
+        for notation, encoding in TestOutputBound.PAIRS:
+            config = SyntaxConfig(Notation(notation), encoding)
+            argv = ["connectives", "enumerate", "--vars", "2", "--slots", "2", "--shape",
+                    policy, "--limit", "500", "--notation", notation, "--encoding", encoding]
+            lines = [render(e.formula, config) for e in result.emitted]
+            assert run_cli(*argv) == (0, "\n".join([*lines, *summary]) + "\n", "")
+            document = {
+                "schema": 1, "command": "connectives enumerate", "max_variables": 2,
+                "max_connective_slots": 2, "shape_policy": policy,
+                "emitted": [{"rendering": line,
+                             "connectives": [c.name for c in e.connectives],
+                             "slots": e.slots} for line, e in zip(lines, result.emitted)],
+                "per_slot": per_slot, "total_generated": result.total_generated,
+                "total_tautologies": result.total_tautologies,
+                "total_distinct": result.total_distinct,
+            }
+            assert run_cli(*argv, "--format", "json") == (
+                0, json.dumps(document, ensure_ascii=False, indent=2) + "\n", "")
+
+    def test_enumerate_without_emission_scans_nothing(self, monkeypatch):
+        """Counting, a zero limit and a count with no tautology draw no
+        shape to fill."""
+        def refuse(*args):
+            raise AssertionError("emission scanned")
+        monkeypatch.setattr(atlas, "_shapes_for", refuse)
+        for extra in (["--count-only"], ["--limit", "0"], ["--slots", "0"]):
+            for form in ("text", "json"):
+                code, out, err = run_cli("connectives", "enumerate", "--format", form,
+                                         *extra)
+                assert (code, err) == (0, "") and out
+
 
 class TestSyllogism:
     @pytest.mark.parametrize("notation", [n.value for n in Notation])
@@ -904,39 +952,58 @@ class TestOutputBound:
         assert steps - 1 < bound // shortest <= steps
 
     def test_large_enumeration_exits_before_rendering(self, nothing_rendered):
+        """The counts alone refuse it: each of its k-slot lines is at least
+        its k + 1 leaves, k spaced symbols and a line break."""
         code, out, err = run_cli(
             "connectives", "enumerate", "--vars", "3", "--slots", "5",
             "--shape", "all-trees", "--limit", "1000000000")
         assert (code, out) == (4, "")
-        assert _predicted(err) > 10**9
+        assert _predicted(err, "more than ") > 10**9
+        drawn = [0, 18, 1992, 260448, 36584064]  # every tautology up to 4 slots
+        drawn.append(10**9 - sum(drawn))
+        assert _predicted(err, "more than ") == sum(n * (4 * k + 2) for k, n in enumerate(drawn))
 
-    def test_enumeration_bound_covers_the_output(self, monkeypatch):
-        """The enumerator's prediction is an upper bound; a limit at the
-        actual length still prints."""
-        for notation, form in (("peirce", "text"), ("modern", "text"),
-                               ("peirce", "json"), ("modern", "json")):
-            argv = ("connectives", "enumerate", "--notation", notation, "--vars", "2",
-                    "--slots", "2", "--limit", "300", "--format", form)
-            monkeypatch.setattr(cli, "OUTPUT_LIMIT", 64 * 2**20)
-            code, out, _ = run_cli(*argv)
-            assert code == 0
-            monkeypatch.setattr(cli, "OUTPUT_LIMIT", len(out) - 2)
-            code, _, err = run_cli(*argv)
-            assert code == 4 and _predicted(err) >= len(out) - 1
+    def test_enumeration_prediction_is_the_output_length(self, monkeypatch):
+        """In every notation-encoding pair and both forms, the enumerator
+        prints at exactly its output's length and one below exits 4 naming
+        that length; the limits cut a group, fall between groups, or take
+        everything."""
+        for i, (notation, encoding) in enumerate(self.PAIRS):
+            for form in ("text", "json"):
+                argv = ["connectives", "enumerate", "--notation", notation,
+                        "--encoding", encoding, "--format", form, "--vars", "2",
+                        "--slots", "2", "--shape", atlas.SHAPE_POLICIES[i % 2],
+                        "--limit", ("6", "7", "1000")[i % 3]]
+                monkeypatch.setattr(cli, "OUTPUT_LIMIT", 64 * 2**20)
+                code, out, err = run_cli(*argv)
+                assert (code, err) == (0, "")
+                size = len(out) - 1
+                monkeypatch.setattr(cli, "OUTPUT_LIMIT", size)
+                assert run_cli(*argv) == (0, out, "")
+                monkeypatch.setattr(cli, "OUTPUT_LIMIT", size - 1)
+                code, out, err = run_cli(*argv)
+                assert (code, out, _predicted(err)) == (4, "", size)
 
-    def test_enumeration_lines_stay_under_their_bound(self):
-        """Every formula with one or two connectives renders within the
-        bound the enumerator's prediction uses for its slot count."""
-        p = Variable("p")
-        by_slots = {1: [Binary(c, p, p) for c in CONNECTIVES]}
-        by_slots[2] = [Binary(c, a, p) for c in CONNECTIVES for a in by_slots[1]]
-        by_slots[2] += [Binary(c, p, a) for c in CONNECTIVES for a in by_slots[1]]
-        for notation, encoding in self.PAIRS:
-            config = SyntaxConfig(Notation(notation), encoding)
-            bounds = cli._longest_renderings(2, config)
-            for slots, formulas in by_slots.items():
-                longest = max(len(render(f, config)) for f in formulas)
-                assert longest <= bounds[slots]
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_enumeration_measure_stops_at_the_limit(self, monkeypatch, nothing_rendered,
+                                                    form):
+        """Past the limit the measure stops scanning, before the last group,
+        and names what it has measured as a lower bound."""
+        argv = ["connectives", "enumerate", "--vars", "3", "--slots", "3",
+                "--limit", "100000", "--encoding", "ascii", "--format", form]
+        scanned = []
+        groups = atlas.tautology_groups
+
+        def scan(spec):
+            for group in groups(spec):
+                scanned.append(group)
+                yield group
+        monkeypatch.setattr(atlas, "tautology_groups", scan)
+        monkeypatch.setattr(cli, "OUTPUT_LIMIT", 200_000)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (4, "")
+        assert 200_000 < _predicted(err, "more than ")
+        assert len(scanned) < len(list(groups(atlas.EnumerationSpec(3, 3))))
 
     def test_json_depth_is_checked_before_rendering(self, nothing_rendered):
         code, out, err = run_cli("parse", "--format", "json", "!" * 600 + "a")

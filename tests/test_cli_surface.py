@@ -16,6 +16,7 @@ ARGPARSE_DIGESTS = {
     (3, 11): "d8d1855577ad6331e9c2ea483eb43a8125fcdd963ac125e459d9bbc49d815064",
     (3, 12): "d8d1855577ad6331e9c2ea483eb43a8125fcdd963ac125e459d9bbc49d815064",
     (3, 13, 0): "5a2e60af0ce9831fa9a6cef59e6709a764244cc5fb1eeb9a4c138a216b6ea04b",
+    (3, 13, 13): "b0bc0d7bf84c542f10201d41c1b31d01e38ecc70d49b58fd492330c10b278b3c",
 }
 
 

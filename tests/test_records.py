@@ -1,12 +1,16 @@
 """The result and configuration types are `core.Record`s, and each behaves as
 the frozen dataclass with its fields and defaults: its twin, built here."""
 
+import __future__
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import illation
 from illation import atlas, bivalent, core, indirect, notation, syllogistic, trivalent
 from illation.core import CONNECTIVES, IMPLICATION, Record
 from illation.notation import Notation, parse
@@ -80,6 +84,23 @@ def test_every_record_type_has_a_sample():
                if isinstance(value, type) and issubclass(value, Record) and value is not Record}
     assert defined == set(SAMPLES)
     assert len(defined) == 22  # Connective and the 21 result and configuration types
+
+
+def test_record_modules_keep_annotations_in_the_class_dict():
+    """`Record` reads a record's fields from the `__annotations__` of its
+    class dict.  Python 3.14 defers class annotations (PEP 649/749) and
+    leaves that key out, except under `from __future__ import annotations`,
+    so every module that defines a record has that import."""
+    defining = set()
+    for found in pkgutil.iter_modules(illation.__path__):
+        if found.name == "__main__":
+            continue
+        module = importlib.import_module(f"illation.{found.name}")
+        if any(isinstance(value, type) and issubclass(value, Record)
+               and value.__module__ == module.__name__ for value in vars(module).values()):
+            defining.add(found.name)
+            assert vars(module).get("annotations") is __future__.annotations, found.name
+    assert defining == {module.__name__.rpartition(".")[2] for module in MODULES}
 
 
 @pytest.fixture(params=RECORD_TYPES, ids=lambda cls: cls.__qualname__)
