@@ -324,14 +324,6 @@ class Verdict(Record):
     falsifying: Assignment | None
     satisfying: Assignment | None
 
-    def __init__(self, kind: str, falsifying: Assignment | None,
-                 satisfying: Assignment | None) -> None:
-        # Record's init unrolled, as each `classify` call builds one.
-        fields = self.__dict__
-        fields["kind"] = kind
-        fields["falsifying"] = falsifying
-        fields["satisfying"] = satisfying
-
 
 def classify(formula: Formula, limit: int = DEFAULT_VARIABLE_LIMIT) -> Verdict:
     nodes, names = flatten(formula)

@@ -38,8 +38,8 @@ from itertools import chain
 from . import __version__
 from .core import (CONNECTIVES, Connective, Constant, EnumerationBoundError,
                    Formula, MissingVariableError, Negation, TriadicValue, TruthValue,
-                   UnsupportedConnectiveError, Variable, VariableLimitError, connective,
-                   fold, grid_size, variables_of)
+                   UnsupportedConnectiveError, Variable, VariableLimitError, _NAME_RE,
+                   connective, fold, grid_size, variables_of)
 from .notation import (RESERVED_WORDS, Notation, ParseError, SyntaxConfig, display_width,
                        pad_display, parse, render, rendered_size, rendered_sizes,
                        value_symbols)
@@ -570,6 +570,10 @@ def _cmd_triadic_eval(args) -> Output:
     assignment: dict[str, TriadicValue] = {}
     for item in args.assign:
         name, _, word = item.partition("=")
+        if not _NAME_RE.match(name):
+            args.parser.error(f"--assign names are variable names; got {item!r}")
+        if name in assignment:
+            args.parser.error(f"--assign names {name!r} twice")
         if word.lower() not in _TRIADIC_WORDS:
             args.parser.error(f"--assign values are V, L or F; got {item!r}")
         assignment[name] = _TRIADIC_WORDS[word.lower()]

@@ -19,6 +19,7 @@ as printed, anomaly included, lives in `illation.atlas`.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from collections.abc import Callable, Container, Iterable, Sequence
 
@@ -72,61 +73,39 @@ class Record:
     class-level default if it has one.
 
     One set of methods gives each record what `@dataclass(frozen=True)`
-    would generate for it: construction by position or keyword, with the
-    same `TypeError`s, then `__post_init__` if the class has one; the
-    dataclass `repr`; `==` between records of one class over their fields;
-    `hash` of the fields; `__match_args__`; and an `AttributeError` on
-    assignment or deletion.  Defining a record compiles no code, where a
-    dataclass compiles six methods.  A method a subclass defines wins, and
-    `functools.cached_property` works, as both write the instance dict.
-    Only the formula nodes answer as dataclasses, so `dataclasses.fields`
-    and `replace` apply to them alone."""
+    would generate for it: the constructor `__init__(self, field, ...,
+    field=default)`, which writes the fields, then calls `__post_init__` if
+    the class has one, and is compiled when the class's first record is
+    built; the dataclass `repr`; `==` between records of one class over
+    their fields; `hash` of the fields; `__match_args__`; and an
+    `AttributeError` on assignment or deletion.  A method a subclass
+    defines wins, and `functools.cached_property` works, as both write the
+    instance dict.  Only the formula nodes answer as dataclasses, so
+    `dataclasses.fields` and `replace` apply to them alone."""
 
     __match_args__: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
-    _post_init = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        own = vars(cls)
-        cls.__match_args__ = tuple(own.get("__annotations__", {}))
-        cls._defaults = {name: own[name] for name in cls.__match_args__ if name in own}
-        cls._post_init = hasattr(cls, "__post_init__")
+        cls.__match_args__ = tuple(vars(cls).get("__annotations__", {}))
+        if "__init__" not in vars(cls):  # a base's constructor takes the base's fields
+            cls.__init__ = functools.partialmethod(Record._compile_init, cls)
 
-    def __init__(self, *args, **kwargs) -> None:
-        fields = self.__match_args__
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
-        if self._post_init:
-            self.__post_init__()
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The fields' values from a call that does not give each field by
-        position, or the `TypeError` that a call of `__init__(self, field,
-        ..., field=default)` would raise, checked in the same order."""
-        fields, defaults = self.__match_args__, self._defaults
-        where = f"{type(self).__qualname__}.__init__()"
-        bound = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields:
-                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-            if name in bound:
-                raise TypeError(f"{where} got multiple values for argument {name!r}")
-            bound[name] = value
-        if len(args) > len(fields):
-            most = len(fields) + 1  # self included, as in the interpreter's count
-            takes = f"from {most - len(defaults)} to {most}" if defaults else most
-            raise TypeError(f"{where} takes {takes} positional arguments "
-                            f"but {len(args) + 1} were given")
-        missing = [repr(name) for name in fields if name not in bound and name not in defaults]
-        if missing:
-            listed = (" and ".join(missing) if len(missing) < 3
-                      else f"{', '.join(missing[:-1])}, and {missing[-1]}")
-            plural = "s" if len(missing) > 1 else ""
-            raise TypeError(f"{where} missing {len(missing)} required positional "
-                            f"argument{plural}: {listed}")
-        return [bound[name] if name in bound else defaults[name] for name in fields]
+    def _compile_init(self, cls: type, /, *args, **kwargs) -> None:
+        """Build the first record of `cls`: compile its constructor, which
+        then serves in place of this method, so the interpreter binds the
+        arguments and words every `TypeError`."""
+        fields, own = cls.__match_args__, vars(cls)
+        params = ", ".join(f"{name}=own[{name!r}]" if name in own else name for name in fields)
+        # The constructor holds the instance dict in `__dict__`, a name no field takes.
+        source = "".join([f"def __init__(self, {params}):\n __dict__ = self.__dict__\n",
+                          *(f" __dict__[{name!r}] = {name}\n" for name in fields),
+                          " self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""])
+        exec(source, scope := {"own": own})
+        cls.__init__ = init = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__annotations__ = {**own.get("__annotations__", {}), "return": None}
+        init(self, *args, **kwargs)
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self.__match_args__))

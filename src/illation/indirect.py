@@ -71,12 +71,6 @@ class TraceStep(Record):
     values: tuple[TruthValue | None, ...]
     note: str
 
-    def __init__(self, values: tuple[TruthValue | None, ...], note: str) -> None:
-        # Record's init unrolled, as reading a trace builds one step per step.
-        fields = self.__dict__
-        fields["values"] = values
-        fields["note"] = note
-
 
 class TraceSteps(Record, Sequence):
     """The steps of a trace as per-step bindings: step s has its base, the

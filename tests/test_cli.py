@@ -475,6 +475,18 @@ class TestTriadic:
         assert code == 2
         assert "V, L or F" in err
 
+    def test_eval_bad_assignment_name(self):
+        for assign, message in [
+            (["--assign", "=V"], "--assign names are variable names; got '=V'"),
+            (["--assign", "a =V"], "--assign names are variable names; got 'a =V'"),
+            (["--assign", "1a=V"], "--assign names are variable names; got '1a=V'"),
+            (["--assign", "a=V", "--assign", "a=F"], "--assign names 'a' twice"),
+        ]:
+            code, out, err = run_cli("triadic", "eval", *assign, "a")
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: illation triadic eval")
+            assert err.endswith(f"error: {message}\n")
+
     def test_eval_unbound_variable(self):
         code, _, err = run_cli("triadic", "eval", "x")
         assert code == 2

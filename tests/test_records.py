@@ -5,8 +5,11 @@ import __future__
 import copy
 import dataclasses
 import importlib
+import inspect
 import pickle
 import pkgutil
+import sys
+import threading
 
 import pytest
 
@@ -147,6 +150,105 @@ def test_construction_by_position_keyword_and_default(kind):
     for call_args, call_keywords in calls:
         assert (outcome(kind, *call_args, **call_keywords)
                 == outcome(TWINS[kind], *call_args, **call_keywords)), (call_args, call_keywords)
+
+
+def test_constructor_signature(kind):
+    """The interpreter binds a record's arguments, through the signature
+    its dataclass twin has."""
+    assert inspect.signature(kind.__init__) == inspect.signature(TWINS[kind].__init__)
+    assert kind.__init__.__qualname__ == TWINS[kind].__init__.__qualname__
+
+
+def fresh_records() -> tuple[type, type]:
+    """A record class and a record subclass of it, defined anew, so that
+    neither has built a record yet."""
+    class Point(Record):
+        x: int
+        y: int = 0
+
+        def __post_init__(self):
+            if -1 in vars(self).values():
+                raise ValueError("a field is -1")
+
+    class Labelled(Point):
+        label: str
+        size: int = 1
+
+    return Point, Labelled
+
+
+BAD_CALLS = [((), {}), ((1, 2, 3), {}), ((1,), {"zz_unknown": 1}), ((1,), {"x": 1}), ((-1,), {})]
+
+
+@pytest.mark.parametrize("args, keywords", BAD_CALLS, ids=repr)
+def test_a_first_call_that_fails(args, keywords):
+    """The call that compiles a class's constructor may be a bad one: it
+    fails as the twin's does, and a good call after it builds the record."""
+    point = fresh_records()[0]
+    dataclass = twin(point)
+    got = outcome(point, *args, **keywords)
+    assert isinstance(got, tuple) and got == outcome(dataclass, *args, **keywords)
+    assert repr(point(1, y=2)) == repr(dataclass(1, y=2))
+    assert point(1, 2) == point(1, y=2) != point(1)
+
+
+@pytest.mark.parametrize("base_first", [False, True], ids=["subclass first", "base first"])
+def test_a_subclass_builds_from_its_own_fields(base_first):
+    """A record class's subclass has the fields annotated in its own body,
+    and the constructor compiled for its base never serves it."""
+    point, labelled = fresh_records()
+    if base_first:
+        assert repr(point(1)) == repr(twin(point)(1))
+    for args, keywords in [(("a",), {}), (("a", 2), {}), ((), {"label": "a"}),
+                           ((1, 2, 3), {}), ((), {"x": 1})] + BAD_CALLS[:3]:
+        assert (outcome(labelled, *args, **keywords)
+                == outcome(twin(labelled), *args, **keywords)), (args, keywords)
+    assert outcome(point, 1, 2) == outcome(twin(point), 1, 2)
+    assert outcome(labelled, -1) == (ValueError, "a field is -1")  # the base's __post_init__
+    assert "__init__" in vars(point) and "__init__" in vars(labelled)
+    assert point.__init__ is not labelled.__init__
+
+
+def test_a_subclass_init_may_call_the_base_constructor():
+    """A subclass's own `__init__` stays, and `super().__init__` reaches the
+    base's constructor, which takes the base's fields."""
+    point = fresh_records()[0]
+
+    class Doubled(point):
+        def __init__(self, x):
+            super().__init__(2 * x)
+
+    assert vars(Doubled(3)) == {"x": 6, "y": 0}
+    assert vars(Doubled(4)) == {"x": 8, "y": 0}
+    assert vars(point(5)) == {"x": 5, "y": 0}
+    assert Doubled.__init__.__qualname__.endswith("Doubled.__init__")
+    assert vars(point)["__init__"].__qualname__ == "fresh_records.<locals>.Point.__init__"
+
+
+def test_first_records_built_at_once():
+    """Threads that build a class's first records together each get their
+    own class's record: no thread's constructor serves another class."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            point, labelled = fresh_records()
+            start, built = threading.Barrier(8), []
+
+            def build(make, args):
+                start.wait(timeout=10)
+                built.append(repr(make(*args)))
+
+            threads = [threading.Thread(target=build, args=call) for call in
+                       [(point, (1,)), (labelled, ("a",))] * 4]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(built) == sorted([repr(twin(point)(1)), repr(twin(labelled)("a"))] * 4)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_records_are_frozen(kind):
