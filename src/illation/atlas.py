@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from itertools import product
 
-from .bivalent import MatrixTable, apply_mask, variable_masks
+from .bivalent import MatrixTable, apply_all, apply_mask, variable_masks
 from .core import (
     Binary,
     CONNECTIVES,
@@ -146,6 +146,10 @@ class EnumerationSpec(Record):
     emit_limit: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("max_variables", "max_connective_slots", "emit_limit"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "emit_limit" and value is None):
+                raise EnumerationBoundError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.max_variables <= MAX_VARIABLES:
             raise EnumerationBoundError(
                 f"max_variables must be 1..{MAX_VARIABLES}, got {self.max_variables}"
@@ -195,17 +199,22 @@ def _fold(shape: _Shape, conns: Iterator[Connective], leaf: Callable[[], object]
 
 
 def _vector_counts(policy: str, max_slots: int, leaf_masks: list[int],
-                   full: int) -> list[dict[int, int]]:
+                   full: int) -> list[list[int]]:
     """For each slot count k, how many fillings of the policy's k-slot
-    shapes have each truth vector."""
-    maps: list[dict[int, int]] = [dict.fromkeys(leaf_masks, 1)]
+    shapes have each truth vector, in a list indexed by vector."""
+    maps = [[0] * (full + 1)]
+    for mask in leaf_masks:
+        maps[0][mask] = 1
     for k in range(1, max_slots + 1):
-        counts: dict[int, int] = {}
+        counts = [0] * (full + 1)
         for i in _splits(policy, k):
-            for (a, m), (b, n) in product(maps[i].items(), maps[k - 1 - i].items()):
-                for conn in CONNECTIVES:
-                    v = apply_mask(conn, a, b, full)
-                    counts[v] = counts.get(v, 0) + m * n
+            rights = [(b, n) for b, n in enumerate(maps[k - 1 - i]) if n]
+            for a, m in enumerate(maps[i]):
+                if m:
+                    for b, n in rights:
+                        fillings = m * n
+                        for v in apply_all(a, b, full):
+                            counts[v] += fillings
         maps.append(counts)
     return maps
 
@@ -293,15 +302,15 @@ def enumerate_tautologies(spec: EnumerationSpec) -> EnumerationResult:
     connective choices as an odometer over columns 1..16 (pre-order slots,
     last slot fastest), then leaf choices as an odometer over the variable
     pool (left-to-right leaves, last leaf fastest).  The counts come from
-    one map per slot count, from truth vector to the number of fillings
-    with that vector; the fillings are scanned one by one only until the
-    emit limit is reached.
+    one list per slot count, indexed by truth vector, of the number of
+    fillings with that vector; the fillings are scanned one by one only
+    until the emit limit is reached.
     """
     masks, full = variable_masks(VARIABLE_POOL[: spec.max_variables])
     maps = _vector_counts(spec.shape_policy, spec.max_connective_slots,
                           list(masks.values()), full)
-    per_slot = tuple(SlotSummary(k, sum(m.values()), m.get(full, 0))
-                     for k, m in enumerate(maps))
+    per_slot = tuple(SlotSummary(k, sum(counts), counts[full])
+                     for k, counts in enumerate(maps))
     emitted = tuple(EmittedTautology(filled(shape, conns, leaves), conns, slots)
                     for slots, shape, conns, group in tautology_groups(spec)
                     for leaves in group)

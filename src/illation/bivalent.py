@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import product
-from operator import add, eq
+from operator import add, eq, itemgetter
 
 from .core import (
+    CONNECTIVES,
     Binary,
     Connective,
     Constant,
@@ -68,6 +69,23 @@ def apply_mask(conn: Connective, left: int, right: int, full: int) -> int:
     if v[3] is _T:
         out |= ~left & ~right
     return out & full
+
+
+# Each connective's vector as the input pairs it maps to t: bit k for pair k.
+_PAIR_SETS = itemgetter(*(sum(1 << k for k, v in enumerate(conn.vector) if v is _T)
+                          for conn in CONNECTIVES))
+
+
+def apply_all(left: int, right: int, full: int) -> tuple[int, ...]:
+    """The sixteen connectives applied row-wise to two truth vectors, in
+    column order: each is the union of the rows of the input pairs it maps
+    to t, picked from the unions of every set of pairs."""
+    tt = left & right
+    tf, ft, differ, either = left ^ tt, right ^ tt, left ^ right, left | right
+    # Set i unions the pairs whose bits are set in i; set 15 - i is its complement.
+    return _PAIR_SETS((0, tt, tf, left, ft, right, differ, either,
+                       full ^ either, full ^ differ, full ^ right, full ^ ft,
+                       full ^ left, full ^ tf, full ^ tt, full))
 
 
 def truth_vector(formula: Formula, masks: Mapping[str, int], full: int) -> int:

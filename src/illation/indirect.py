@@ -29,21 +29,25 @@ Unconstrained variables may be completed arbitrarily: evaluation still
 yields f.
 
 The search is one loop over one trail of bindings, each coded as
-2 * column + bit, with bit 0 for t and 1 for f.  A flag per code is set
-while its column is bound to its bit: a binding is held when its own flag
-is set and conflicts when the flag of code ^ 1 is.  Each code's rule is
-made once, when it is first reached, as either the codes it forces (a
-tuple, empty for a variable) or its cases (a list); a rule that closes
-forces the node's own column to the other value.  Propagation walks the
-trail from a mark and binds what each rule forces; a code whose rule splits
-waits in `pending`.  An open branch splits on its next pending code, and
-each open split is kept as (mark, pending depth, an iterator over its
+2 * column + bit, with bit 0 for t and 1 for f; its partner, code ^ 1, binds
+the same column to the other value.  A flag per code is set while its
+column is bound to its bit: a binding is held when its own flag is set and
+conflicts when its partner's is.  Each code's rule is made once, when it is
+first reached, as either what it forces (a tuple, empty for a variable) or
+its cases (a list), each a tuple of (code, partner) pairs; a rule that
+closes forces the node's own column to the other value.  Propagation walks
+the trail from a mark and binds what each rule forces; a code whose rule
+splits waits in `pending`.  An open branch splits on its next pending code,
+and each open split is kept as (mark, pending depth, an iterator over its
 cases): a case binds its columns from the mark, and backtracking unbinds
-them back to it.  Each binding is appended to the trace's codes as it is
-made and each step to its notes and bases (see `TraceSteps`), so a trace
-holds bindings, not snapshots.
-A budget of steps is checked where a branch opens and at the end; between
-two branch opens the loop records at most a few steps per column.
+them back to it.  Each binding is appended to a list of codes as it is
+made, and each step's note byte (from a table per note, indexed by the
+count of codes it bound) and base to two more, so a trace holds bindings,
+not snapshots.  A budget of steps is checked where a branch opens, once
+the lists hold more than a chunk of steps, and at the end; each check moves
+the lists' steps into the trace's arrays (see `TraceSteps`), which hold a
+step in a few bytes where the lists take eight per item.  Between two
+branch opens the loop records at most a few steps per column.
 """
 
 from __future__ import annotations
@@ -206,10 +210,12 @@ _VARIABLE_RULES: _Table = (((), ()), ((), ()))
 
 def _in_codes(node: Formula, code: int, place: dict[Formula, int]) -> tuple | list:
     """The rule of `code`, the node bound to a value, over binding codes, its
-    operands' columns found in `place`: a tuple of the codes it forces, or a
-    list of its cases, de-duplicated over columns (both operands may be one
-    column).  A rule that closes the branch forces the node's own column to
-    the other value, which conflicts at once and binds nothing."""
+    operands' columns found in `place`: a tuple of what it forces, or a list
+    of its cases, each a tuple of (code, partner) pairs, the partner being the
+    code of the column's other value; cases are de-duplicated over columns
+    (both operands may be one column).  A rule that closes the branch forces
+    the node's own column to the other value, which conflicts at once and
+    binds nothing."""
     table, operands = _VARIABLE_RULES, ()
     if type(node) is Binary:
         table = _CONNECTIVE_RULES[node.connective.column]
@@ -220,10 +226,11 @@ def _in_codes(node: Formula, code: int, place: dict[Formula, int]) -> tuple | li
         table = _CONSTANT_RULES[_VALUES.index(node.value)]
     rule = table[code & 1]
 
-    def coded(bindings: _Bindings) -> tuple[int, ...]:
-        return tuple(2 * operands[pos] + bit for pos, bit in bindings)
+    def coded(bindings: _Bindings) -> tuple[tuple[int, int], ...]:
+        return tuple((2 * operands[pos] + bit, 2 * operands[pos] + 1 - bit)
+                     for pos, bit in bindings)
     if rule is None:
-        return (code ^ 1,)
+        return ((code ^ 1, code),)
     forced, cases = rule
     return list(dict.fromkeys(map(coded, cases))) if cases else coded(forced)
 
@@ -236,11 +243,21 @@ class StepLimitError(Exception):
         self.steps, self.limit = steps, limit
 
 
+#: The steps a search holds in lists before it moves them into its trace's arrays.
+_CHUNK = 1024
+# The note bytes of a step that forces, opens a case or closes a branch,
+# indexed by the count of codes it bound.
+_FORCED_NOTES, _OPEN_NOTES, _CLOSED_NOTES = (
+    tuple(note | bound << 2 for bound in range(3)) for note in (_FORCED, _OPEN, _CLOSED))
+
+
 def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectResult:
-    """Refute `formula` by the rules above.  With `max_steps`, raise
-    StepLimitError rather than return a trace of more steps: the count is
-    checked where a branch opens and at the end, so the search records at
-    most a few steps per column past it before it stops."""
+    """Refute `formula` by the rules above.  With `max_steps`, a count of
+    steps, raise StepLimitError rather than return a trace of more steps:
+    the count is checked where a branch opens and at the end, so the search
+    records at most a few steps per column past it before it stops."""
+    if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
+        raise ValueError(f"max_steps must be a non-negative int, got {max_steps!r}")
     columns = subformulas(formula)
     place = {node: j for j, node in enumerate(columns)}
     width = len(columns)
@@ -249,10 +266,15 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
     trail = [2 * width - 1]  # the codes bound on this branch: first, the whole formula is f
     bound = [False] * (2 * width - 1) + [True]  # per code: is its column bound to its bit?
     pending: list[int] = []  # codes whose rule splits, in the order reached
-    # Each binding is appended to `codes` as it is made, and a step is recorded
-    # as its base (the trail's length where it began) and its note, with the
-    # count of codes it bound (those bound since the last step) above it.
-    notes, bases, codes = bytearray([_ROOT | 1 << 2]), array("i", [0]), array("i", trail)
+    # Each binding is appended to `new_codes` as it is made, and a step is
+    # recorded as its base (the trail's length where it began) in `new_bases`
+    # and its note byte, with the count of codes it bound (those bound since
+    # the last step) above its note, in `new_notes`.  Once they hold more
+    # than `room` steps where a branch opens, and at the end, the steps are
+    # counted against the budget and moved into the arrays of `steps`.
+    steps = TraceSteps(width, bytearray(), array("i"), array("i"))
+    new = new_notes, new_bases, new_codes = [_ROOT | 1 << 2], [0], trail[:]
+    room = min(_CHUNK, budget)
     # The splits still open, outermost first: the k-th splits on pending[k],
     # binding its cases from trail[mark], with pending[:depth] reached, and
     # holds (mark, depth, an iterator over its cases).
@@ -274,21 +296,21 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
                 waiting += 1
                 continue
             base = size
-            for forced in rule:
-                if bound[forced ^ 1]:
+            for forced, partner in rule:
+                if bound[partner]:
                     break
                 if not bound[forced]:
                     bound[forced] = True
                     trail.append(forced)
-                    codes.append(forced)
+                    new_codes.append(forced)
                     size += 1
             else:
                 if size > base:
-                    notes.append(_FORCED | (size - base) << 2)
-                    bases.append(base)
+                    new_notes.append(_FORCED_NOTES[size - base])
+                    new_bases.append(base)
                 continue
-            notes.append(_CLOSED | (size - base) << 2)
-            bases.append(base)
+            new_notes.append(_CLOSED_NOTES[size - base])
+            new_bases.append(base)
             break
         else:  # the branch is open: split on the next pending code, if any
             if opened == waiting:
@@ -310,27 +332,26 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
                 splits.pop()
                 opened -= 1
                 continue
-            for code in case:
-                if bound[code ^ 1]:
-                    notes.append(_CLOSED | (size - mark) << 2)
-                    bases.append(mark)
+            for code, partner in case:
+                if bound[partner]:
+                    new_notes.append(_CLOSED_NOTES[size - mark])
+                    new_bases.append(mark)
                     break
                 if not bound[code]:
                     bound[code] = True
                     trail.append(code)
-                    codes.append(code)
+                    new_codes.append(code)
                     size += 1
             else:
-                notes.append(_OPEN | (size - mark) << 2)
-                bases.append(mark)
-                if len(notes) > budget:
-                    raise StepLimitError(len(notes), max_steps)
+                new_notes.append(_OPEN_NOTES[size - mark])
+                new_bases.append(mark)
+                if len(new_notes) > room:
+                    room = _move_steps(steps, new, budget)
                 break
         else:
             break
-    if len(notes) > budget:
-        raise StepLimitError(len(notes), max_steps)
-    trace = IndirectTrace(tuple(columns), TraceSteps(width, notes, bases, codes))
+    _move_steps(steps, new, budget)
+    trace = IndirectTrace(tuple(columns), steps)
     if not falsifiable:
         return IndirectResult("tautology", None, (), trace)
     # Post-order meets the variables in first-occurrence order.
@@ -339,6 +360,22 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
     countermodel = {name: _VALUES[f] for name, (t, f) in flags.items() if t or f}
     unconstrained = tuple(name for name, (t, f) in flags.items() if not (t or f))
     return IndirectResult("falsifiable", countermodel, unconstrained, trace)
+
+
+def _move_steps(steps: TraceSteps, new: tuple[list, list, list], budget: float) -> int:
+    """Count a search's steps against its budget, raising StepLimitError
+    past it, then move the new steps' notes, bases and codes from their
+    lists into the arrays of `steps` and return how many steps the lists
+    may take before the search calls this again."""
+    notes, bases, codes = new
+    total = len(steps.notes) + len(notes)
+    if total > budget:
+        raise StepLimitError(total, budget)  # type: ignore[arg-type]
+    steps.notes.extend(notes)
+    steps.bases.extend(bases)
+    steps.codes.extend(codes)
+    del notes[:], bases[:], codes[:]
+    return min(_CHUNK, budget - total)
 
 
 def _text_cells(widths: Sequence[int], config: SyntaxConfig) -> list[list[str]]:

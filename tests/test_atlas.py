@@ -26,7 +26,7 @@ from illation.atlas import (
     tautology_groups,
     xframe_of,
 )
-from illation.bivalent import classify, matrix_table
+from illation.bivalent import apply_mask, classify, matrix_table, variable_masks
 from illation.core import CONNECTIVES, TruthValue, connective
 from illation.notation import Notation, SyntaxConfig, render
 
@@ -196,6 +196,11 @@ class TestEnumerationSpec:
             {"max_connective_slots": 6},
             {"shape_policy": "wide"},
             {"emit_limit": -1},
+            {"emit_limit": 2.5},
+            {"emit_limit": True},
+            {"max_connective_slots": 1.0},
+            {"max_variables": True},
+            {"max_variables": "3"},
         ],
     )
     def test_bounds(self, kwargs):
@@ -207,7 +212,31 @@ def run(**kwargs) -> "EnumerationResult":
     return enumerate_tautologies(EnumerationSpec(**kwargs))
 
 
+def reference_vector_counts(policy, max_slots, leaf_masks, full):
+    """The counts per slot count as a map from truth vector to fillings,
+    folded one connective at a time through `apply_mask`."""
+    maps = [dict.fromkeys(leaf_masks, 1)]
+    for k in range(1, max_slots + 1):
+        counts = {}
+        for i in range(1) if policy == "right-combs" else range(k):
+            for (a, m), (b, n) in product(maps[i].items(), maps[k - 1 - i].items()):
+                for conn in CONNECTIVES:
+                    v = apply_mask(conn, a, b, full)
+                    counts[v] = counts.get(v, 0) + m * n
+        maps.append(counts)
+    return maps
+
+
 class TestEnumeratorCounts:
+    @pytest.mark.parametrize("policy", SHAPE_POLICIES)
+    @pytest.mark.parametrize("variables", [1, 2, 3])
+    def test_vector_counts_match_a_connective_by_connective_fold(self, variables, policy):
+        masks, full = variable_masks(VARIABLE_POOL[:variables])
+        slots = 5 if policy == "right-combs" else 4
+        expected = reference_vector_counts(policy, slots, list(masks.values()), full)
+        assert atlas._vector_counts(policy, slots, list(masks.values()), full) == [
+            [counts.get(vector, 0) for vector in range(full + 1)] for counts in expected]
+
     def test_slot_zero_is_the_bare_variables(self):
         result = run(max_variables=2, max_connective_slots=0)
         assert [(s.slots, s.generated, s.tautologies) for s in result.per_slot] == [

@@ -13,6 +13,8 @@ from illation.bivalent import (
     MissingVariableError,
     TruthTable,
     VariableLimitError,
+    apply_all,
+    apply_mask,
     assignments,
     classify,
     entails,
@@ -108,6 +110,14 @@ class TestEvaluate:
         with pytest.raises(TypeError) as info:
             evaluate(A, {"a": value})
         assert f"a is bound to {value!r}" in str(info.value)
+
+
+class TestApplyAll:
+    @pytest.mark.parametrize("full", [3, 15, 255])
+    def test_matches_one_connective_at_a_time(self, full):
+        for left, right in product(range(full + 1), repeat=2):
+            assert list(apply_all(left, right, full)) == [
+                apply_mask(conn, left, right, full) for conn in CONNECTIVES]
 
 
 class TestAssignments:

@@ -317,6 +317,35 @@ class TestStepBudget:
             assert budget < raised.value.steps <= budget + 5 * 35 + 2
             assert raised.value.limit == budget
 
+    def test_the_budget_holds_across_the_moves_into_the_arrays(self):
+        """n = 12: the search moves its steps from lists into the trace's
+        arrays once they pass a chunk of 1,024, and stops at the same step
+        counts either side of one, two, four and eight chunks as a search
+        that wrote every step into the arrays at once."""
+        assert indirect._CHUNK == 1024
+        formula = xor_equivalence(12)
+        stopped = {}
+        for budget in (1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096, 4097,
+                       8191, 8192, 8193, 10000):
+            with pytest.raises(StepLimitError) as raised:
+                indirect_check(formula, max_steps=budget)
+            stopped[budget] = raised.value.steps
+        assert stopped == {1023: 1024, 1024: 1026, 1025: 1026, 2047: 2049, 2048: 2049,
+                           2049: 2051, 4095: 4097, 4096: 4097, 4097: 4099, 8191: 8193,
+                           8192: 8193, 8193: 8199, 10000: 10002}
+
+    def test_a_budget_of_every_step_returns_the_whole_trace(self):
+        formula = xor_equivalence(12)
+        result = indirect_check(formula, max_steps=172031)
+        assert len(result.trace.steps) == 172031
+        assert result == indirect_check(formula)
+
+    @pytest.mark.parametrize("max_steps", [-1, 2.5, 1.0, True, "10"])
+    def test_a_malformed_budget_is_refused_before_the_search(self, max_steps, monkeypatch):
+        monkeypatch.setattr(indirect, "subformulas", None)  # the search's first call
+        with pytest.raises(ValueError, match="max_steps"):
+            indirect_check(xor_equivalence(3), max_steps)
+
     def test_a_search_without_splits_is_checked_at_the_end(self):
         formula = parse("!" * 50 + "a", MODERN_ASCII)
         assert len(indirect_check(formula).trace.steps) == 51
@@ -430,17 +459,22 @@ class TestTraceSteps:
         """n = 10 xor-equivalence: 34,815 steps over 29 columns.  Snapshots
         of every step held about 12 MB.  The bindings (a note byte and a base
         per step, and the codes bound) take about 0.33 MB; they took 0.48 MB
-        when each step also kept where its codes end."""
+        when each step also kept where its codes end.  The search holds at
+        most a chunk of steps in lists before it moves them into the arrays,
+        so its peak is about 0.37 MB, against 0.36 MB when it wrote every
+        step straight into the arrays; holding every step in lists until the
+        end peaked at 1.0 MB, and moving them every 4,096 steps at 0.39 MB."""
         xs = [Variable(f"x{i}") for i in range(10)]
         formula = equiv(reduce(equiv, xs), reduce(equiv, xs[::-1]))
         tracemalloc.start()
         try:
             result = indirect_check(formula)
-            retained, _ = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (len(result.trace.steps), len(result.trace.columns)) == (34815, 29)
         assert retained < 400_000
+        assert peak < 450_000
 
     def test_a_call_leaves_nothing_for_the_collector(self):
         """The search keeps no self-referencing closures, so all of its
