@@ -68,8 +68,12 @@ class OutputLimitError(Exception):
 
 def _check_size(size: int, bound: str = "") -> None:
     """Refuse an output of `size` characters, or of more than `size` with
-    `bound` "more than ", past OUTPUT_LIMIT."""
+    `bound` "more than ", past OUTPUT_LIMIT.  A size of over 2,000 bits
+    (about 600 digits) is named by a power of ten below it: str() refuses
+    an int of over 4,300 digits, or of over 640 where that limit is lowest."""
     if size > OUTPUT_LIMIT:
+        if size.bit_length() > 2000:
+            bound, size = "more than ", f"10**{(size.bit_length() - 1) * 30102 // 100000}"
         raise OutputLimitError(f"the output would take {bound}{size} characters, "
                                f"over the limit of {OUTPUT_LIMIT}")
 

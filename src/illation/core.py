@@ -536,24 +536,33 @@ def variables_of(formula: Formula) -> list[str]:
 
 def subformulas(formula: Formula) -> list[Formula]:
     """Distinct subformulas in post-order: children before parents, the whole
-    formula last.  Equal subformulas are one, the first met.  A node is told
-    from its kind and its operands' firsts, by `id`, so an equal copy costs
-    one probe and not a walk of its subtree."""
-    # A binary's key is its column and its operands' firsts, a negation's
-    # its operand's first (an int, so no tuple or leaf equals it) and a
-    # leaf's the leaf itself: equal nodes, and only they, share a key.
-    first: dict = {}  # a key -> the first node with it
-    firsts: dict[int, int] = {}  # the id of each node -> that of the first equal to it
+    formula last.  Equal subformulas are one, the first met."""
+    return _columns(formula)[0]
+
+
+def _columns(formula: Formula) -> tuple[list[Formula], dict[int, int]]:
+    """`subformulas(formula)`, and the column of each node object of the
+    formula by its `id`: that of the first node equal to it.  A node is told
+    from its kind and its operands' columns, so an equal copy costs one probe
+    and not a walk of its subtree, and no node is hashed or compared but a leaf."""
+    # A binary's key is its connective's column and its operands' columns, a
+    # negation's its operand's column (an int, so no tuple or leaf equals it)
+    # and a leaf's the leaf itself: equal nodes, and only they, share a key.
+    columns: list[Formula] = []
+    place: dict[int, int] = {}
+    first: dict = {}  # a key -> its column
     for node in flatten(formula)[0]:
         kind = type(node)
         if kind is Binary:
-            key = (node.connective.column, firsts[id(node.left)], firsts[id(node.right)])
+            key = (node.connective.column, place[id(node.left)], place[id(node.right)])
         elif kind is Negation:
-            key = firsts[id(node.operand)]
+            key = place[id(node.operand)]
         else:
             key = node
-        firsts[id(node)] = id(first.setdefault(key, node))
-    return list(first.values())
+        column = place[id(node)] = first.setdefault(key, len(columns))
+        if column == len(columns):
+            columns.append(node)
+    return columns, place
 
 
 def grid_size(cells: Sequence[Sequence[str]], opening: str, closing: str,

@@ -57,7 +57,7 @@ from collections.abc import Iterator, Sequence
 from itertools import chain, islice
 
 from .core import (CONNECTIVES, INPUT_PAIRS, Binary, Connective, Constant, Formula,
-                   Negation, Record, TruthValue, Variable, grid_size, subformulas)
+                   Negation, Record, TruthValue, Variable, _columns, grid_size)
 from .notation import SyntaxConfig, _sizes, display_width, pad_display, render, value_symbols
 
 #: The steps' notes, indexed by the note codes a trace keeps.
@@ -208,31 +208,30 @@ _CONSTANT_RULES: tuple[_Table, _Table] = ((((), ()), None), (None, ((), ())))
 _VARIABLE_RULES: _Table = (((), ()), ((), ()))
 
 
-def _in_codes(node: Formula, code: int, place: dict[Formula, int]) -> tuple | list:
+def _in_codes(node: Formula, code: int, place: dict[int, int]) -> tuple | list:
     """The rule of `code`, the node bound to a value, over binding codes, its
-    operands' columns found in `place`: a tuple of what it forces, or a list
-    of its cases, each a tuple of (code, partner) pairs, the partner being the
-    code of the column's other value; cases are de-duplicated over columns
-    (both operands may be one column).  A rule that closes the branch forces
-    the node's own column to the other value, which conflicts at once and
-    binds nothing."""
-    table, operands = _VARIABLE_RULES, ()
+    operands' columns found in `place` by `id`: a tuple of what it forces, or
+    a list of its cases, each a tuple of (code, partner) pairs, the partner
+    being the code of the column's other value; cases are de-duplicated over
+    columns (both operands may be one column).  A rule that closes the branch
+    forces the node's own column to the other value, which conflicts at once
+    and binds nothing."""
+    table, operands = _VARIABLE_RULES, ()  # each operand's code for t
     if type(node) is Binary:
         table = _CONNECTIVE_RULES[node.connective.column]
-        operands = place[node.left], place[node.right]
+        operands = 2 * place[id(node.left)], 2 * place[id(node.right)]
     elif type(node) is Negation:
-        table, operands = _NEGATION_RULES, (place[node.operand],)
+        table, operands = _NEGATION_RULES, (2 * place[id(node.operand)],)
     elif type(node) is Constant:
         table = _CONSTANT_RULES[_VALUES.index(node.value)]
     rule = table[code & 1]
-
-    def coded(bindings: _Bindings) -> tuple[tuple[int, int], ...]:
-        return tuple((2 * operands[pos] + bit, 2 * operands[pos] + 1 - bit)
-                     for pos, bit in bindings)
     if rule is None:
         return ((code ^ 1, code),)
     forced, cases = rule
-    return list(dict.fromkeys(map(coded, cases))) if cases else coded(forced)
+    if not cases:
+        return tuple([(operands[pos] + bit, operands[pos] + 1 - bit) for pos, bit in forced])
+    return list(dict.fromkeys([tuple([(operands[pos] + bit, operands[pos] + 1 - bit)
+                                      for pos, bit in case]) for case in cases]))
 
 
 class StepLimitError(Exception):
@@ -258,8 +257,7 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
     records at most a few steps per column past it before it stops."""
     if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
         raise ValueError(f"max_steps must be a non-negative int, got {max_steps!r}")
-    columns = subformulas(formula)
-    place = {node: j for j, node in enumerate(columns)}
+    columns, place = _columns(formula)
     width = len(columns)
     budget = float("inf") if max_steps is None else max_steps
     rules: list = [None] * (2 * width)  # each code's rule in codes, made on first use

@@ -458,19 +458,17 @@ _LAYOUTS = {(notation, encoding): _Layout(notation, encoding)
             for notation in Notation for encoding in _ENCODINGS}
 
 
-def _bracketed(node: Formula) -> bool:
-    """Whether the node renders as a binary, and so is bracketed as an operand."""
-    return type(node) is Binary and node.connective.name not in _NEGATED_EXPANSIONS
-
-
 def _frame(node: Formula, layout: _Layout) -> tuple[str, ...]:
     """The literal strings before, between and after a node's operands:
     (before, between, after) for a binary the pair has a symbol for,
-    (before, after) for a negation, (text,) for a leaf.  Every compound
-    operand is bracketed."""
+    (before, after) for a negation, (text,) for a leaf.  Every operand that
+    renders as a binary is bracketed.  `render` picks a binary's frame in
+    its own walk as this does."""
     if type(node) is Binary:
+        left, right = node.left, node.right
         return layout.binaries[node.connective.name][
-            2 * _bracketed(node.left) + _bracketed(node.right)]
+            2 * (type(left) is Binary and left.connective.name not in _NEGATED_EXPANSIONS)
+            + (type(right) is Binary and right.connective.name not in _NEGATED_EXPANSIONS)]
     if type(node) is Negation:
         operand = node.operand
         if layout.overbar and (
@@ -478,7 +476,8 @@ def _frame(node: Formula, layout: _Layout) -> tuple[str, ...]:
             or (type(operand) is Variable and len(operand.name) == 1)
         ):
             return "", layout.overbar
-        return layout.negations[_bracketed(operand)]
+        return layout.negations[
+            type(operand) is Binary and operand.connective.name not in _NEGATED_EXPANSIONS]
     if type(node) is Variable:
         return (node.name,)
     return (layout.constants[node.value],)
@@ -493,10 +492,12 @@ def render(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> str:
     connective the notation lacks where it meets it.  It goes down each
     left spine writing the text before each left operand at once; what
     follows a left operand waits on the stack, as one string where the
-    right operand is a variable.
+    right operand is a variable.  It picks a binary's frame itself and
+    writes a variable's name; a negation or a constant takes `_frame`'s.
     """
     layout = _LAYOUTS[(config.notation, config.encoding)]
     primitives = PRIMITIVE_CONNECTIVES[config.notation]
+    binaries = layout.binaries
     out: list[str] = []
     stack: list = [formula]
     # Each expansion made, by the id of its node of `formula` (alive throughout).
@@ -504,28 +505,35 @@ def render(formula: Formula, config: SyntaxConfig = SyntaxConfig()) -> str:
     while stack:
         item = stack.pop()
         while type(item) is not str:
-            if type(item) is Binary and item.connective.name not in primitives:
-                if id(item) not in expansions:
-                    expand = EXPANSIONS[item.connective.name]
-                    expansions[id(item)] = expand(item.left, item.right)
-                item = expansions[id(item)]
-                continue
-            frame = _frame(item, layout)
-            if type(item) is Binary:
-                before, between, after = frame
-                right = item.right
+            kind = type(item)
+            if kind is Binary:
+                name = item.connective.name
+                if name not in primitives:
+                    if id(item) not in expansions:
+                        expansions[id(item)] = EXPANSIONS[name](item.left, item.right)
+                    item = expansions[id(item)]
+                    continue
+                left, right = item.left, item.right
+                before, between, after = binaries[name][  # as `_frame` picks it
+                    2 * (type(left) is Binary
+                         and left.connective.name not in _NEGATED_EXPANSIONS)
+                    + (type(right) is Binary
+                       and right.connective.name not in _NEGATED_EXPANSIONS)]
                 if type(right) is Variable:  # so not bracketed: after is ""
                     stack.append(between + right.name)
                 else:
                     stack += (after, right, between)
                 out.append(before)
-                item = item.left
-            elif type(item) is Negation:
-                out.append(frame[0])
-                stack.append(frame[1])
+                item = left
+            elif kind is Variable:
+                item = item.name
+            elif kind is Negation:
+                before, after = _frame(item, layout)
+                out.append(before)
+                stack.append(after)
                 item = item.operand
             else:
-                item = frame[0]
+                item = _frame(item, layout)[0]
         out.append(item)
     return "".join(out)
 

@@ -907,6 +907,43 @@ class TestOutputBound:
         assert (code, out, _predicted(err)) == (4, "", expected)
         assert expected > cli.OUTPUT_LIMIT
 
+    @pytest.mark.parametrize("target", ["peirce", "schroeder"])
+    def test_an_astronomical_size_is_named_by_a_power_of_ten(self, target, nothing_rendered):
+        """Each expanded equivalence doubles the size, to more digits than
+        str() writes of an int: the error names a power of ten below the
+        size, and exits 4."""
+        chain = " <-> ".join(f"x{i}" for i in range(14_500))
+        code, out, err = run_cli("translate", "--from", "modern", "--to", target, chain)
+        assert (code, out) == (4, "")
+        assert _predicted(err, r"more than 10\*\*") == 4365
+
+    def test_the_lowest_int_string_limit_still_exits_4(self, nothing_rendered):
+        """str() may be held to 640 digits: a size of over 900 digits is named by
+        a power of ten too."""
+        chain = " <-> ".join(f"x{i}" for i in range(3000))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli("translate", "--from", "modern", "--to", "peirce", chain)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (4, "")
+        assert _predicted(err, r"more than 10\*\*") == 903
+
+    def test_a_power_of_ten_below_the_size_names_a_long_one(self):
+        """The exponent named is the largest below log10 of the size, or
+        one less, from 2,001 bits on; a size of fewer keeps its digits."""
+        for size in (10**600, 2**1999 + 1, 2**2000, 10**603, 10**3010, 2**14_501 - 1,
+                     10**4400, 10**4400 - 1, 3 * 10**6000, 2**100_000):
+            with pytest.raises(cli.OutputLimitError) as raised:
+                cli._check_size(size)
+            message = str(raised.value)
+            if size.bit_length() <= 2000:
+                assert message.startswith(f"the output would take {size} characters")
+                continue
+            exponent = int(re.match(r"the output would take more than 10\*\*(\d+) ", message)[1])
+            assert 10**exponent < size < 10**(exponent + 2)
+
     def test_cubic_trace_exits_before_rendering(self, nothing_rendered):
         """2,001 steps, each line at least 2,007,012 characters: past the
         33 steps the limit holds of those, so the error names those lines'

@@ -24,6 +24,7 @@ from illation.core import (
     Negation,
     TruthValue,
     Variable,
+    _columns,
     conj,
     connective,
     connective_from_vector,
@@ -326,6 +327,22 @@ class TestOneWalk:
             assert self.ids(indirect_check(formula).trace.columns) == expected
             for config in CONFIGS:
                 assert self.ids(rendered_sizes(formula, config)) == expected
+
+    def test_each_node_object_is_placed_at_the_first_equal_column(self):
+        """`_columns` gives the distinct subformulas and, by `id`, the column
+        of every node object: that of the first subformula equal to it."""
+        shared = 0  # compound nodes placed at a column another object holds
+        for formula in self.FORMULAS:
+            columns, place = _columns(formula)
+            assert self.ids(columns) == self.ids(distinct_subformulas(formula))
+            nodes = flatten(formula)[0]
+            assert len(place) == len(nodes)
+            for node in nodes:
+                assert place[id(node)] == next(
+                    j for j, column in enumerate(columns) if column == node)
+                shared += (type(node) in (Binary, Negation)
+                           and columns[place[id(node)]] is not node)
+        assert shared > 100
 
     def test_fold_gives_each_node_object_one_value(self):
         for formula in self.FORMULAS:

@@ -342,7 +342,7 @@ class TestStepBudget:
 
     @pytest.mark.parametrize("max_steps", [-1, 2.5, 1.0, True, "10"])
     def test_a_malformed_budget_is_refused_before_the_search(self, max_steps, monkeypatch):
-        monkeypatch.setattr(indirect, "subformulas", None)  # the search's first call
+        monkeypatch.setattr(indirect, "_columns", None)  # the search's first call
         with pytest.raises(ValueError, match="max_steps"):
             indirect_check(xor_equivalence(3), max_steps)
 

@@ -26,6 +26,7 @@ from illation.core import (
     connective,
     disj,
     equiv,
+    flatten,
     implies,
 )
 from illation.notation import (
@@ -330,6 +331,75 @@ class TestRendering:
         assert render(e, cfg("peano-russell", "ascii")) == "a == b"
         assert render(e, cfg("peirce", "ascii")) == "(a * b) + (-a * -b)"
         assert render(e, cfg("schroeder", "ascii")) == "(a * b) + (a' * b')"
+
+
+def _render_by_frames(formula, config: SyntaxConfig) -> str:
+    """The plain walk `render` replaces: every node's pieces from `_frame`,
+    the notation lacking a connective expanded where the walk meets it."""
+    layout = notation_module._LAYOUTS[(config.notation, config.encoding)]
+    primitives = PRIMITIVE_CONNECTIVES[config.notation]
+    out, stack = [], [formula]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif type(item) is Binary and item.connective.name not in primitives:
+            stack.append(EXPANSIONS[item.connective.name](item.left, item.right))
+        else:
+            frame = notation_module._frame(item, layout)
+            operands = ((item.left, item.right) if type(item) is Binary
+                        else (item.operand,) if type(item) is Negation else ())
+            # frame[0], operands[0], frame[1], ..., pushed in reverse
+            pieces = [frame[0]]
+            for operand, after in zip(operands, frame[1:]):
+                pieces += (operand, after)
+            stack += reversed(pieces)
+    return "".join(out)
+
+
+class TestRenderAgainstFrames:
+    """`render` picks a binary's frame and writes a variable's name in its
+    own walk; each rendering is checked against the `_frame` walk, and
+    every node's predicted size against its rendering."""
+
+    NAMES = ("p", "q", "long_name", "x1")
+
+    def operands(self):
+        p, q = Variable("p"), Variable("long_name")
+        yield from (p, q, Constant(T), Negation(p), Negation(q), Negation(Constant(F)))
+        for conn in CONNECTIVES:
+            yield Binary(conn, p, q)
+        yield Negation(Binary(connective("nor"), p, q))  # a negation where expanded
+        yield Negation(conj(p, q))
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+    def test_every_connective_over_every_operand(self, config):
+        """Each connective over each operand, on either side, beside a
+        variable, a binary and a connective that expands to a negation."""
+        operands = list(self.operands())
+        beside = (Variable("p"), conj(A, B), Binary(connective("nand"), A, B))
+        for conn in CONNECTIVES:
+            for one in operands:
+                for formula in (Binary(conn, one, one), *(
+                        Binary(conn, *pair) for other in beside
+                        for pair in ((one, other), (other, one)))):
+                    assert render(formula, config) == _render_by_frames(formula, config)
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+    def test_random_formulas_and_every_node_size(self, config):
+        rng = random.Random(1885)
+        every = tuple(c.name for c in CONNECTIVES)
+        for _ in range(40):
+            formula = random_formula(rng, 4, self.NAMES, every)
+            # equal subtrees: one object twice, and an equal copy
+            twin = random_formula(rng, 3, self.NAMES, every)
+            formula = Binary(rng.choice(CONNECTIVES), formula,
+                             Binary(rng.choice(CONNECTIVES), twin, twin))
+            formula = Binary(rng.choice(CONNECTIVES), formula, parse(render(formula)))
+            assert render(formula, config) == _render_by_frames(formula, config)
+            sizes = notation_module._sizes(formula, config)
+            for node in flatten(formula)[0]:
+                assert sizes[id(node)][0] == len(render(node, config))
 
 
 class TestSpellings:
