@@ -36,18 +36,20 @@ conflicts when its partner's is.  Each code's rule is made once, when it is
 first reached, as either what it forces (a tuple, empty for a variable) or
 its cases (a list), each a tuple of (code, partner) pairs; a rule that
 closes forces the node's own column to the other value.  Propagation walks
-the trail from a mark and binds what each rule forces; a code whose rule
-splits waits in `pending`.  An open branch splits on its next pending code,
-and each open split is kept as (mark, pending depth, an iterator over its
-cases): a case binds its columns from the mark, and backtracking unbinds
-them back to it.  Each binding is appended to a list of codes as it is
-made, and each step's note byte (from a table per note, indexed by the
-count of codes it bound) and base to two more, so a trace holds bindings,
-not snapshots.  A budget of steps is checked where a branch opens, once
-the lists hold more than a chunk of steps, and at the end; each check moves
-the lists' steps into the trace's arrays (see `TraceSteps`), which hold a
-step in a few bytes where the lists take eight per item.  Between two
-branch opens the loop records at most a few steps per column.
+the trail from a mark and binds what each rule forces; the cases of a code
+whose rule splits wait in `pending`.  An open branch splits on its next
+pending cases: it pushes them, last first, onto one stack of untried cases,
+each with the mark it binds its columns from, the pending depth and the
+count of splits open.  Backtracking pops the next case, unbinds the trail
+back to its mark, and binds it; once the stack is empty, every branch has
+closed.  Each binding is appended to a list of codes as it is made, and each
+step's note byte (from a table per note, indexed by the count of codes it
+bound) and base to two more, so a trace holds bindings, not snapshots.  A
+budget of steps is checked where a branch opens, once the lists hold more
+than a chunk of steps, and at the end; each check moves the lists' steps
+into the trace's arrays (see `TraceSteps`), which hold a step in a few bytes
+where the lists take eight per item.  Between two branch opens the loop
+records at most a few steps per column.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
     rules: list = [None] * (2 * width)  # each code's rule in codes, made on first use
     trail = [2 * width - 1]  # the codes bound on this branch: first, the whole formula is f
     bound = [False] * (2 * width - 1) + [True]  # per code: is its column bound to its bit?
-    pending: list[int] = []  # codes whose rule splits, in the order reached
+    pending: list[list] = []  # the cases of each rule that splits, in the order reached
     # Each binding is appended to `new_codes` as it is made, and a step is
     # recorded as its base (the trail's length where it began) in `new_bases`
     # and its note byte, with the count of codes it bound (those bound since
@@ -273,11 +275,12 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
     steps = TraceSteps(width, bytearray(), array("i"), array("i"))
     new = new_notes, new_bases, new_codes = [_ROOT | 1 << 2], [0], trail[:]
     room = min(_CHUNK, budget)
-    # The splits still open, outermost first: the k-th splits on pending[k],
-    # binding its cases from trail[mark], with pending[:depth] reached, and
-    # holds (mark, depth, an iterator over its cases).
-    splits: list[tuple] = []
-    size, waiting, opened = 1, 0, 0  # the lengths of trail, pending and splits
+    # The cases not yet tried, the next on top.  Opening a split pushes its
+    # cases, last first, each as (mark, depth, opened, case): `case` is bound
+    # from trail[mark], with pending[:depth] reached and `opened` splits open,
+    # its own among them.
+    work: list[tuple] = []
+    size, waiting, opened = 1, 0, 0  # the lengths of trail and pending; the splits open
     mark, falsifiable = 0, False
     while True:
         # Propagate from trail[mark]; a conflict closes the branch.
@@ -290,7 +293,7 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
             if not rule:
                 continue
             if type(rule) is list:
-                pending.append(code)
+                pending.append(rule)
                 waiting += 1
                 continue
             base = size
@@ -310,26 +313,22 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
             new_notes.append(_CLOSED_NOTES[size - base])
             new_bases.append(base)
             break
-        else:  # the branch is open: split on the next pending code, if any
+        else:  # the branch is open: split on the next pending cases, if any
             if opened == waiting:
                 falsifiable = True
                 break
-            splits.append((mark, waiting, iter(rules[pending[opened]])))
             opened += 1
-        # Undo the last case; open the next case of the innermost split that
-        # has one left.
-        while opened:
-            mark, depth, cases = splits[-1]
-            if size > mark:  # undo the case tried last
+            for case in reversed(pending[opened - 1]):
+                work.append((mark, waiting, opened, case))
+        # Undo the branch tried last and bind the next untried case; a case
+        # that conflicts at once closes its branch and gives way to the next.
+        while work:
+            mark, depth, opened, case = work.pop()
+            if size > mark:
                 for code in trail[mark:]:
                     bound[code] = False
                 del trail[mark:], pending[depth:]
                 size, waiting = mark, depth
-            case = next(cases, None)
-            if case is None:
-                splits.pop()
-                opened -= 1
-                continue
             for code, partner in case:
                 if bound[partner]:
                     new_notes.append(_CLOSED_NOTES[size - mark])
@@ -346,7 +345,7 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
                 if len(new_notes) > room:
                     room = _move_steps(steps, new, budget)
                 break
-        else:
+        else:  # no case is left untried
             break
     _move_steps(steps, new, budget)
     trace = IndirectTrace(tuple(columns), steps)

@@ -105,7 +105,7 @@ class ParseDiagnostic(Record):
     def __str__(self) -> str:
         s = f"parse error at position {self.position}: {self.message}"
         if self.expected:
-            s += " (expected: " + ", ".join(self.expected) + ")"
+            s += f" (expected: {', '.join(self.expected)})"
         return s
 
 
@@ -304,26 +304,31 @@ def parse(text: str, config: SyntaxConfig = SyntaxConfig()) -> Formula:
     else:
         return operands[0]
     stopped_at = len(lexemes) - length_hint(remaining) - 1
-    raise _diagnosis(normalized, config.notation, lexemes, stopped_at, expect_operand)
+    raise _diagnosis(text, normalized, config.notation, lexemes, stopped_at, expect_operand)
 
 
-def _diagnosis(text: str, notation: Notation, lexemes: list[str], index: int,
-               expect_operand: bool) -> ParseError:
-    """The error of a parse of `text` that stopped at `lexemes[index]`,
-    where an operand was expected or not.  The first character the notation
-    does not use is reported before any syntax error.  Positions are found
-    by scanning the text again."""
+def _diagnosis(text: str, normalized: str, notation: Notation, lexemes: list[str],
+               index: int, expect_operand: bool) -> ParseError:
+    """The error of a parse of `text`, whose NFD form is `normalized`, that
+    stopped at `lexemes[index]`, where an operand was expected or not.  The
+    first character the notation does not use is reported before any syntax
+    error.  Positions are found by scanning the NFD form again, and index the
+    text as given: a character covers as many NFD indices as its own NFD form
+    has characters, and is quoted as given."""
     pattern, table = _lexer(notation)
-    positions = [found.start(1) for found in pattern.finditer(text)]
+    # The last position is the place of _END.
+    positions = [found.start(1) for found in pattern.finditer(normalized)] + [len(normalized)]
+    if len(normalized) > len(text):
+        given = [i for i, char in enumerate(text + " ") for _ in unicodedata.normalize("NFD", char)]
+        positions = [given[position] for position in positions]
     for word, position in zip(lexemes, positions):
         if word not in table and word[0] not in _NAME_START:
             owners = sorted(other.value for other in _FOREIGN.get(word, ())
                             if other is not notation)
             if owners:
-                return _error(position, f"{word!r} is a symbol of the "
+                return _error(position, f"{text[position]!r} is a symbol of the "
                                         f"{', '.join(owners)} notation, not of {notation.value}")
-            return _error(position, f"unexpected character {word!r}")
-    positions.append(len(text))  # the place of _END
+            return _error(position, f"unexpected character {text[position]!r}")
     word, position = lexemes[index], positions[index]
     if expect_operand:
         if word == _END:
@@ -427,8 +432,6 @@ class _Layout:
     """A pair's literal strings around a node's operands (see `_frame`),
     read from the notation's spellings at the encoding's index."""
 
-    __slots__ = ("binaries", "negations", "overbar", "constants")
-
     def __init__(self, notation: Notation, encoding: str) -> None:
         at = _ENCODINGS.index(encoding)
         spelt = {role: spellings[at] for role, spellings in _SPELLINGS[notation].items()
@@ -438,18 +441,18 @@ class _Layout:
         for role, symbol in spelt.items():
             if isinstance(role, Connective):
                 middle = f" {symbol} "
-                self.binaries[role.name] = (("", middle, ""), ("", middle + "(", ")"),
-                                            ("(", ")" + middle, ""), ("(", ")" + middle + "(", ")"))
+                self.binaries[role.name] = (("", middle, ""), ("", f"{middle}(", ")"),
+                                            ("(", f"){middle}", ""), ("(", f"){middle}(", ")"))
         # A negation's frames by whether its operand is bracketed.  A notation
         # with a prefix mark writes its postfix one, if the encoding has it,
         # over a one-character atom only.
         if "not" in spelt:
             prefix = spelt["not"]
-            self.negations = ((prefix, ""), (prefix + "(", ")"))
+            self.negations = ((prefix, ""), (f"{prefix}(", ")"))
             self.overbar = spelt.get("postnot", "")
         else:
             postfix = spelt["postnot"]
-            self.negations = (("", postfix), ("(", ")" + postfix))
+            self.negations = (("", postfix), ("(", f"){postfix}"))
             self.overbar = ""
         self.constants = {value: spelt[value] for value in TruthValue}
 
@@ -581,9 +584,7 @@ def translate(text: str, source: SyntaxConfig, target: SyntaxConfig) -> str:
 def value_symbols(notation: Notation) -> tuple[str, str]:
     """Symbols used for the two truth values in tables: the peirce notation
     writes v/f (as the 1883-84 and 1902 lists do), the others t/f."""
-    if notation is Notation.PEIRCE:
-        return ("v", "f")
-    return ("t", "f")
+    return ("v" if notation is Notation.PEIRCE else "t", "f")
 
 
 def display_width(text: str) -> int:
@@ -595,4 +596,4 @@ def display_width(text: str) -> int:
 
 def pad_display(text: str, width: int) -> str:
     """Left-justify by display width (len() overcounts combining marks)."""
-    return text + " " * max(0, width - display_width(text))
+    return text + " " * (width - display_width(text))

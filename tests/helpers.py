@@ -250,8 +250,10 @@ def reference_indirect_steps(formula: Formula) -> tuple:
     root = {len(columns) - 1: False}
     steps.append((dict(root), "root-assumption"))
     found = branch(root, [len(columns) - 1], [], 0)
-    values = [(tuple(to_value(state[j]) if j in state else None
-                     for j in range(len(columns))), note) for state, note in steps]
+    # Each column's TruthValue in each snapshot, None where it is unbound.
+    cell = {True: TruthValue.T, False: TruthValue.F}.get
+    every = range(len(columns))
+    values = [(tuple(map(cell, map(state.get, every))), note) for state, note in steps]
     if found is None:
         return values, "tautology", None, ()
     variables = [j for j, node in enumerate(columns) if isinstance(node, Variable)]

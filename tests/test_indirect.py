@@ -271,12 +271,15 @@ class TestAgainstReference:
     the module docstring's rules: every step, its rendered line, the
     outcome and the countermodel."""
 
-    def check(self, formula) -> None:
+    def check(self, formula, rendered: bool = True) -> None:
+        """The search's steps and result, and with `rendered` its trace's text."""
         result = indirect_check(formula)
         steps, outcome, countermodel, unconstrained = reference_indirect_steps(formula)
         assert [(step.values, step.note) for step in result.trace.steps] == steps
         assert (result.outcome, result.countermodel, result.unconstrained) == (
             outcome, countermodel, unconstrained)
+        if not rendered:
+            return
         widths = [max(len(render(column, MODERN_ASCII)), 1) for column in result.trace.columns]
         symbols = {None: "-", T: "t", F: "f"}
         lines = ["".join(symbols[value].ljust(width) + "  "
@@ -293,8 +296,18 @@ class TestAgainstReference:
             self.check(formula)
 
     def test_xor_equivalences(self):
-        for n in range(1, 7):
-            self.check(xor_equivalence(n))
+        """Steps up to n = 10, the sizes the `wide` benchmark checks, and
+        their text up to n = 6."""
+        for n in range(1, 11):
+            self.check(xor_equivalence(n), rendered=n <= 6)
+
+    def test_seeded_formulas(self):
+        """The formulas whose text `test_traces_are_pinned` hashes, most of
+        them falsifiable, so a search resumes outer splits after inner ones."""
+        rng = random.Random(1883)
+        for _ in range(2000):
+            formula = random_formula(rng, max_depth=5, connective_names=ALL_CONNECTIVES)
+            self.check(formula, rendered=False)
 
 
 class TestStepBudget:
