@@ -56,24 +56,39 @@ def variable_masks(names: Sequence[str]) -> tuple[dict[str, int], int]:
     return masks, full
 
 
-def apply_mask(conn: Connective, left: int, right: int, full: int) -> int:
-    """A connective applied row-wise to two truth vectors."""
-    v = conn.vector
-    out = 0
-    if v[0] is _T:
-        out |= left & right
-    if v[1] is _T:
-        out |= left & ~right
-    if v[2] is _T:
-        out |= ~left & right
-    if v[3] is _T:
-        out |= ~left & ~right
-    return out & full
-
+# Each set of input pairs as the union of their rows, indexed by the set:
+# bit k for pair k, and set 15 - k is full ^ set k.  No int is ever negative,
+# since `&` on a negative big int costs many times the plain operation.
+_UNIONS = (
+    lambda l, r, full: 0,
+    lambda l, r, full: l & r,
+    lambda l, r, full: l ^ (l & r),
+    lambda l, r, full: l,
+    lambda l, r, full: r ^ (l & r),
+    lambda l, r, full: r,
+    lambda l, r, full: l ^ r,
+    lambda l, r, full: l | r,
+    lambda l, r, full: full ^ (l | r),
+    lambda l, r, full: full ^ l ^ r,
+    lambda l, r, full: full ^ r,
+    lambda l, r, full: full ^ (r ^ (l & r)),
+    lambda l, r, full: full ^ l,
+    lambda l, r, full: full ^ (l ^ (l & r)),
+    lambda l, r, full: full ^ (l & r),
+    lambda l, r, full: full,
+)
 
 # Each connective's vector as the input pairs it maps to t: bit k for pair k.
 _PAIR_SETS = itemgetter(*(sum(1 << k for k, v in enumerate(conn.vector) if v is _T)
                           for conn in CONNECTIVES))
+
+#: Each connective's kernel, by its column.
+_KERNELS = (None, *_PAIR_SETS(_UNIONS))
+
+
+def apply_mask(conn: Connective, left: int, right: int, full: int) -> int:
+    """A connective applied row-wise to two truth vectors, subsets of `full`."""
+    return _KERNELS[conn.column](left, right, full)
 
 
 def apply_all(left: int, right: int, full: int) -> tuple[int, ...]:
@@ -102,8 +117,8 @@ def _vector(nodes: list[Formula], masks: Mapping[str, int], full: int) -> int:
     for node in nodes:
         kind = type(node)
         if kind is Binary:
-            value = apply_mask(node.connective, values[id(node.left)],
-                               values[id(node.right)], full)
+            value = _KERNELS[node.connective.column](values[id(node.left)],
+                                                     values[id(node.right)], full)
         elif kind is Negation:
             value = full ^ values[id(node.operand)]
         elif kind is Variable:
@@ -141,7 +156,8 @@ def _row(names: Sequence[str], bits: int) -> Assignment | None:
     """The assignment of the lowest row set in `bits`, if any."""
     if not bits:
         return None
-    row = format((bits & -bits).bit_length() - 1, f"0{len(names)}b")
+    # The lowest set bit's index: bits - 1 flips the bits up to it.
+    row = format((bits ^ (bits - 1)).bit_length() - 1, f"0{len(names)}b")
     return {name: _F if bit == "1" else _T for name, bit in zip(names, row)}
 
 

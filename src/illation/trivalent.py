@@ -214,7 +214,7 @@ def is_tautology3(
     masks, full = variable_masks3(names)
     v, f = truth_vector3(formula, masks, full)
     covered = 0
-    for value, mask in zip(TRIADIC_VALUES, (v, full & ~(v | f), f)):
+    for value, mask in zip(TRIADIC_VALUES, (v, full ^ (v | f), f)):
         if value in designated:
             covered |= mask
     return covered == full

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import random
+from collections.abc import Generator, Iterator
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import product
 
@@ -165,17 +166,23 @@ def xor_equivalence(n: int) -> Formula:
     return Binary(equivalence, left, right)
 
 
-def reference_indirect_steps(formula: Formula) -> tuple:
+def reference_indirect_steps(formula: Formula) -> Generator[tuple, None, tuple]:
     """The indirect method written plainly from the rules in the docstring of
-    `illation.indirect`, with BOOL_OPS as the truth functions: (steps,
-    outcome, countermodel, unconstrained), each step a (values, note) pair
-    whose values give each column's TruthValue, None for a dash.  Every step
-    snapshots the state, a dict from column to bool; every case binds on a
-    copy of its branch's state, and nothing is ever unbound.  Recursion, so
-    only for shallow formulas."""
+    `illation.indirect`, with BOOL_OPS as the truth functions: yields each
+    step as a (values, note) pair whose values give each column's
+    TruthValue, None for a dash, and once it ends gives (outcome,
+    countermodel, unconstrained) as its return value (see `end_of`).  The
+    state is a dict from column to bool; every case binds on a copy of its
+    branch's state, and nothing is ever unbound.  Recursion, so only for
+    shallow formulas."""
     columns = distinct_subformulas(formula)
     index = {node: j for j, node in enumerate(columns)}
-    steps: list[tuple[dict, str]] = []
+    # Each column's TruthValue in a state, None where it is unbound.
+    cell = {True: TruthValue.T, False: TruthValue.F}.get
+    every = range(len(columns))
+
+    def snapshot(state: dict) -> tuple:
+        return tuple(map(cell, map(state.get, every)))
 
     def rule(node: Formula, value: bool) -> tuple:
         """("closes", None), ("forced", bindings) or ("cases", [bindings, ...])
@@ -219,9 +226,10 @@ def reference_indirect_steps(formula: Formula) -> tuple:
                 return False
         return True
 
-    def branch(state: dict, queue: list, pending: list, depth: int) -> dict | None:
-        """Propagate the columns in `queue`, then split on pending[depth]:
-        the state of the first open branch, or None when all close."""
+    def branch(state: dict, queue: list, pending: list, depth: int):
+        """Propagate the columns in `queue`, then split on pending[depth],
+        yielding each step: returns the state of the first open branch, or
+        None when all close."""
         while queue:
             column = queue.pop(0)
             kind, bindings = rule(columns[column], state[column])
@@ -230,36 +238,42 @@ def reference_indirect_steps(formula: Formula) -> tuple:
                 continue
             before = len(state)
             if kind == "closes" or not bind(state, queue, bindings):
-                steps.append((dict(state), "branch-closed"))
+                yield snapshot(state), "branch-closed"
                 return None
             if len(state) > before:
-                steps.append((dict(state), "forced"))
+                yield snapshot(state), "forced"
         if depth == len(pending):
             return state
         for case in pending[depth]:
             copy, copy_queue = dict(state), []
             if not bind(copy, copy_queue, case):
-                steps.append((dict(copy), "branch-closed"))
+                yield snapshot(copy), "branch-closed"
                 continue
-            steps.append((dict(copy), "branch-open"))
-            found = branch(copy, copy_queue, list(pending), depth + 1)
+            yield snapshot(copy), "branch-open"
+            found = yield from branch(copy, copy_queue, list(pending), depth + 1)
             if found is not None:
                 return found
         return None
 
     root = {len(columns) - 1: False}
-    steps.append((dict(root), "root-assumption"))
-    found = branch(root, [len(columns) - 1], [], 0)
-    # Each column's TruthValue in each snapshot, None where it is unbound.
-    cell = {True: TruthValue.T, False: TruthValue.F}.get
-    every = range(len(columns))
-    values = [(tuple(map(cell, map(state.get, every))), note) for state, note in steps]
+    yield snapshot(root), "root-assumption"
+    found = yield from branch(root, [len(columns) - 1], [], 0)
     if found is None:
-        return values, "tautology", None, ()
+        return "tautology", None, ()
     variables = [j for j, node in enumerate(columns) if isinstance(node, Variable)]
     countermodel = {columns[j].name: to_value(found[j]) for j in variables if j in found}
     unconstrained = tuple(columns[j].name for j in variables if j not in found)
-    return values, "falsifiable", countermodel, unconstrained
+    return "falsifiable", countermodel, unconstrained
+
+
+def end_of(reference: Iterator) -> tuple:
+    """What `reference_indirect_steps` gives once it has yielded its last
+    step; AssertionError if it has a step left."""
+    try:
+        step = next(reference)
+    except StopIteration as end:
+        return end.value
+    raise AssertionError(f"the reference has a step left: {step!r}")
 
 
 def reference_table_rows(formula: Formula, row_order: str = "t-first") -> tuple:

@@ -13,6 +13,7 @@ from illation.bivalent import (
     MissingVariableError,
     TruthTable,
     VariableLimitError,
+    _row,
     apply_all,
     apply_mask,
     assignments,
@@ -110,6 +111,82 @@ class TestEvaluate:
         with pytest.raises(TypeError) as info:
             evaluate(A, {"a": value})
         assert f"a is bound to {value!r}" in str(info.value)
+
+
+def four_branch_mask(conn, left, right, full):
+    """The plain union the kernel replaces: each pair's rows from `~left`
+    and `~right`, negative ints masked back into `full` at the end."""
+    v = conn.vector
+    out = 0
+    if v[0] is T:
+        out |= left & right
+    if v[1] is T:
+        out |= left & ~right
+    if v[2] is T:
+        out |= ~left & right
+    if v[3] is T:
+        out |= ~left & ~right
+    return out & full
+
+
+# Each connective's vector as a map from an input pair's index to its value's bit.
+_VECTOR_BITS = [str.maketrans("0123", "".join("1" if v is T else "0" for v in conn.vector))
+                for conn in CONNECTIVES]
+
+
+def per_row_masks(left, right, full):
+    """The sixteen connectives on two truth vectors, in column order, read
+    one row at a time from `conn.vector`: bit k is t exactly when the
+    connective maps the pair (bit k of left, bit k of right) to t."""
+    width = full.bit_length()
+    pairs = "".join(str(2 * (l == "0") + (r == "0"))
+                    for l, r in zip(format(left, f"0{width}b"), format(right, f"0{width}b")))
+    return [int(pairs.translate(bits), 2) for bits in _VECTOR_BITS]
+
+
+class TestApplyMask:
+    """The pair-set kernel against a per-row reference and against the
+    four-branch formula it replaces."""
+
+    @pytest.mark.parametrize("full", [1, 3, 15, 255])
+    def test_every_pair_of_vectors(self, full):
+        for left, right in product(range(full + 1), repeat=2):
+            assert [apply_mask(conn, left, right, full)
+                    for conn in CONNECTIVES] == per_row_masks(left, right, full)
+
+    @pytest.mark.parametrize("full", [1, 3, 15])
+    def test_the_four_branch_formula(self, full):
+        for conn in CONNECTIVES:
+            for left, right in product(range(full + 1), repeat=2):
+                assert apply_mask(conn, left, right, full) == four_branch_mask(
+                    conn, left, right, full)
+
+    @pytest.mark.parametrize("rows", [2 ** 10, 2 ** 14])
+    def test_random_vectors(self, rows):
+        rng = random.Random(rows)
+        full = (1 << rows) - 1
+        for _ in range(3):
+            left, right = rng.getrandbits(rows), rng.getrandbits(rows)
+            values = [apply_mask(conn, left, right, full) for conn in CONNECTIVES]
+            assert values == per_row_masks(left, right, full)
+            assert values == [four_branch_mask(conn, left, right, full) for conn in CONNECTIVES]
+
+
+def _row_reference(names, bits):
+    """_row by `bits & -bits`."""
+    row = format((bits & -bits).bit_length() - 1, f"0{len(names)}b")
+    return {name: F if bit == "1" else T for name, bit in zip(names, row)}
+
+
+class TestLowestRow:
+    def test_matches_the_lowest_set_bit(self):
+        rng = random.Random(1893)
+        names = [f"x{i}" for i in range(14)]
+        vectors = [1 << k for k in range(1 << 14)]
+        vectors += [rng.getrandbits(1 << 14) | 1 << rng.randrange(1 << 14) for _ in range(200)]
+        for bits in vectors:
+            assert _row(names, bits) == _row_reference(names, bits)
+        assert _row(names, 0) is None
 
 
 class TestApplyAll:

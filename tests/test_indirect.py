@@ -40,7 +40,7 @@ from illation.indirect import (
 )
 from illation.notation import Notation, SyntaxConfig, parse, render
 
-from helpers import random_formula, reference_indirect_steps, xor_equivalence
+from helpers import end_of, random_formula, reference_indirect_steps, xor_equivalence
 
 T, F = TruthValue.T, TruthValue.F
 PEIRCE_ASCII = SyntaxConfig(Notation.PEIRCE, "ascii")
@@ -274,17 +274,17 @@ class TestAgainstReference:
     def check(self, formula, rendered: bool = True) -> None:
         """The search's steps and result, and with `rendered` its trace's text."""
         result = indirect_check(formula)
-        steps, outcome, countermodel, unconstrained = reference_indirect_steps(formula)
-        assert [(step.values, step.note) for step in result.trace.steps] == steps
-        assert (result.outcome, result.countermodel, result.unconstrained) == (
-            outcome, countermodel, unconstrained)
+        reference = reference_indirect_steps(formula)
+        for step in result.trace.steps:
+            assert (step.values, step.note) == next(reference)
+        assert (result.outcome, result.countermodel, result.unconstrained) == end_of(reference)
         if not rendered:
             return
         widths = [max(len(render(column, MODERN_ASCII)), 1) for column in result.trace.columns]
         symbols = {None: "-", T: "t", F: "f"}
         lines = ["".join(symbols[value].ljust(width) + "  "
-                         for value, width in zip(values, widths)) + "| " + note
-                 for values, note in steps]
+                         for value, width in zip(step.values, widths)) + "| " + step.note
+                 for step in result.trace.steps]
         assert render_trace(result.trace, MODERN_ASCII).split("\n")[1:] == lines
 
     def test_corpus(self):
