@@ -38,18 +38,22 @@ its cases (a list), each a tuple of (code, partner) pairs; a rule that
 closes forces the node's own column to the other value.  Propagation walks
 the trail from a mark and binds what each rule forces; the cases of a code
 whose rule splits wait in `pending`.  An open branch splits on its next
-pending cases: it pushes them, last first, onto one stack of untried cases,
-each with the mark it binds its columns from, the pending depth and the
-count of splits open.  Backtracking pops the next case, unbinds the trail
-back to its mark, and binds it; once the stack is empty, every branch has
-closed.  Each binding is appended to a list of codes as it is made, and each
-step's note byte (from a table per note, indexed by the count of codes it
-bound) and base to two more, so a trace holds bindings, not snapshots.  A
-budget of steps is checked where a branch opens, once the lists hold more
-than a chunk of steps, and at the end; each check moves the lists' steps
-into the trace's arrays (see `TraceSteps`), which hold a step in a few bytes
-where the lists take eight per item.  Between two branch opens the loop
-records at most a few steps per column.
+pending cases: it binds the first at once and pushes the rest, last first,
+onto one stack of untried cases, each with the mark it binds its columns
+from, the pending depth and the count of splits open.  A later case will
+meet the very bindings its split opened on, so one whose first pair
+conflicts is settled as it is pushed: it goes on the stack as its bare mark,
+and popping it records its closed step and nothing else.  Backtracking pops
+the next case, unbinds the trail back to its mark, and binds it; once the
+stack is empty, every branch has closed.  Each binding is appended to a
+list of codes as it is made, and each step's note byte (from a table per
+note, indexed by the count of codes it bound) and base to two more, so a
+trace holds bindings, not snapshots.  A budget of steps is checked where a
+branch opens, once the lists hold more than a chunk of steps, and at the
+end; each check moves the lists' steps into the trace's arrays (see
+`TraceSteps`), which hold a step in a few bytes where the lists take eight
+per item.  Between two branch opens the loop records at most a few steps
+per column.
 """
 
 from __future__ import annotations
@@ -156,10 +160,14 @@ class TraceSteps(Record, Sequence):
         """The length of what `rows` writes, from the arrays without a replay:
         each note's line count, and the dashes, every column of every step
         but the ones its trail binds (its base and the codes it added)."""
+        return grid_size(cells, opening, closing, zip(endings, self.note_counts().values()),
+                         len(self) * self.width - sum(self.bases) - len(self.codes))
+
+    def note_counts(self) -> dict[str, int]:
+        """Each note's count of steps, every note in `NOTES` order, zeros
+        too, from the note bytes without a replay."""
         notes = self.notes.translate(_NOTE_CODES)
-        return grid_size(cells, opening, closing,
-                         [(ending, notes.count(code)) for code, ending in enumerate(endings)],
-                         len(notes) * self.width - sum(self.bases) - len(self.codes))
+        return {note: notes.count(code) for code, note in enumerate(NOTES)}
 
 
 class IndirectTrace(Record):
@@ -275,13 +283,16 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
     steps = TraceSteps(width, bytearray(), array("i"), array("i"))
     new = new_notes, new_bases, new_codes = [_ROOT | 1 << 2], [0], trail[:]
     room = min(_CHUNK, budget)
-    # The cases not yet tried, the next on top.  Opening a split pushes its
-    # cases, last first, each as (mark, depth, opened, case): `case` is bound
-    # from trail[mark], with pending[:depth] reached and `opened` splits open,
-    # its own among them.
-    work: list[tuple] = []
+    # The cases not yet tried, the next on top.  Opening a split binds its
+    # first case at once and pushes the rest, last first, each as (mark,
+    # depth, opened, case): `case` is bound from trail[mark], with
+    # pending[:depth] reached and `opened` splits open, its own among them.
+    # A later case meets the very bindings its split opened on, so one whose
+    # first pair conflicts closes on sight: it is pushed as its bare mark,
+    # the base of the closed step it records when popped.
+    work: list[int | tuple] = []
     size, waiting, opened = 1, 0, 0  # the lengths of trail and pending; the splits open
-    mark, falsifiable = 0, False
+    mark, case, falsifiable = 0, None, False  # case: the one to bind next, if any
     while True:
         # Propagate from trail[mark]; a conflict closes the branch.
         while mark < size:
@@ -313,22 +324,17 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
             new_notes.append(_CLOSED_NOTES[size - base])
             new_bases.append(base)
             break
-        else:  # the branch is open: split on the next pending cases, if any
-            if opened == waiting:
-                falsifiable = True
-                break
-            opened += 1
-            for case in reversed(pending[opened - 1]):
-                work.append((mark, waiting, opened, case))
-        # Undo the branch tried last and bind the next untried case; a case
-        # that conflicts at once closes its branch and gives way to the next.
-        while work:
-            mark, depth, opened, case = work.pop()
-            if size > mark:
-                for code in trail[mark:]:
-                    bound[code] = False
-                del trail[mark:], pending[depth:]
-                size, waiting = mark, depth
+        else:  # the branch is open
+            if case is None:  # split on the next pending cases, if any
+                if opened == waiting:
+                    falsifiable = True
+                    break
+                opened += 1
+                cases = pending[opened - 1]
+                for case in cases[:0:-1]:
+                    work.append(mark if bound[case[0][1]] else (mark, waiting, opened, case))
+                case = cases[0]
+            # Bind `case` from trail[mark]; a conflict closes its branch.
             for code, partner in case:
                 if bound[partner]:
                     new_notes.append(_CLOSED_NOTES[size - mark])
@@ -344,7 +350,25 @@ def indirect_check(formula: Formula, max_steps: int | None = None) -> IndirectRe
                 new_bases.append(mark)
                 if len(new_notes) > room:
                     room = _move_steps(steps, new, budget)
-                break
+                case = None
+                continue
+        # The branch closed: undo it back to the next untried case's mark,
+        # which the loop binds next, as nothing is left to propagate there.
+        # A bare mark records its closed step and leaves the undoing to the
+        # next case, whose mark is no higher.
+        while work:
+            entry = work.pop()
+            if type(entry) is int:
+                new_notes.append(_CLOSED_NOTES[0])
+                new_bases.append(entry)
+                continue
+            mark, depth, opened, case = entry
+            if size > mark:
+                for code in trail[mark:]:
+                    bound[code] = False
+                del trail[mark:], pending[depth:]
+                size, waiting = mark, depth
+            break
         else:  # no case is left untried
             break
     _move_steps(steps, new, budget)

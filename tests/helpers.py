@@ -11,6 +11,7 @@ import io
 import random
 from collections.abc import Generator, Iterator
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import reduce
 from itertools import product
 
 from illation.cli import main
@@ -154,12 +155,19 @@ def distinct_subformulas(formula: Formula) -> list[Formula]:
     return list(seen)
 
 
-def xor_equivalence(n: int) -> Formula:
-    """(x0 ↔ … ↔ x(n-1)) ↔ (x(n-1) ↔ … ↔ x0), each side a left comb: a
-    tautology whose indirect trace more than doubles with n (172,031
-    steps at n = 12)."""
+def xor_equivalence(n: int, comb: str = "left") -> Formula:
+    """(x0 ↔ … ↔ x(n-1)) ↔ (x(n-1) ↔ … ↔ x0), each side a left comb, or
+    with comb="right" a right comb, x0 ↔ (x1 ↔ …), as the `wide` benchmark
+    writes it: a tautology whose indirect trace more than doubles with n
+    (172,031 steps at n = 12, in either shape)."""
+    if comb not in ("left", "right"):
+        raise ValueError(f"comb is 'left' or 'right', not {comb!r}")
     xs = [Variable(f"x{i}") for i in range(n)]
     equivalence = connective("equivalence")
+    if comb == "right":
+        return Binary(equivalence, *(
+            reduce(lambda right, x: Binary(equivalence, x, right), side[-2::-1], side[-1])
+            for side in (xs, xs[::-1])))
     left, right = xs[0], xs[-1]
     for a, b in zip(xs[1:], xs[-2::-1]):
         left, right = Binary(equivalence, left, a), Binary(equivalence, right, b)

@@ -297,9 +297,10 @@ class TestAgainstReference:
 
     def test_xor_equivalences(self):
         """Steps up to n = 10, the sizes the `wide` benchmark checks, and
-        their text up to n = 6."""
-        for n in range(1, 11):
-            self.check(xor_equivalence(n), rendered=n <= 6)
+        their text up to n = 6, in both combs: the right comb, the shape
+        `wide` writes, settles most of its later cases as they are pushed."""
+        for n, comb in product(range(1, 11), ("left", "right")):
+            self.check(xor_equivalence(n, comb), rendered=n <= 6)
 
     def test_seeded_formulas(self):
         """The formulas whose text `test_traces_are_pinned` hashes, most of
@@ -308,6 +309,87 @@ class TestAgainstReference:
         for _ in range(2000):
             formula = random_formula(rng, max_depth=5, connective_names=ALL_CONNECTIVES)
             self.check(formula, rendered=False)
+
+
+class TestSplits:
+    """The paths a split takes: its first case bound at once, and a later
+    case whose first pair conflicts pushed as a bare mark that records its
+    closed step when popped.  Each against the reference search, and against
+    the result and text pinned from the loop that pushed every case whole and
+    bound each one as it was popped."""
+
+    def check(self, text: str, outcome: str, countermodel, lines: list[str]) -> None:
+        formula = parse(text, MODERN_ASCII)
+        TestAgainstReference().check(formula)
+        result = indirect_check(formula)
+        assert (result.outcome, result.countermodel, result.unconstrained) == (
+            outcome, countermodel, ())
+        assert render_trace(result.trace, MODERN_ASCII).split("\n")[1:] == lines
+
+    def test_a_later_case_closes_on_sight(self):
+        """Each split on `b <-> a` opens with a and b bound equal: its first
+        case, (t, f), binds nothing and closes on its second pair, and its
+        later case, (f, t), conflicts on its first and is pushed as a mark."""
+        self.check("(a <-> b) <-> (b <-> a)", "tautology", None, [
+            "-  -  -        -        f                        | root-assumption",
+            "-  -  t        f        f                        | branch-open",
+            "t  t  t        f        f                        | branch-open",
+            "t  t  t        f        f                        | branch-closed",
+            "t  t  t        f        f                        | branch-closed",
+            "f  f  t        f        f                        | branch-open",
+            "f  f  t        f        f                        | branch-closed",
+            "f  f  t        f        f                        | branch-closed",
+            "-  -  f        t        f                        | branch-open",
+            "t  f  f        t        f                        | branch-open",
+            "t  f  f        t        f                        | branch-closed",
+            "t  f  f        t        f                        | branch-closed",
+            "f  t  f        t        f                        | branch-open",
+            "f  t  f        t        f                        | branch-closed",
+            "f  t  f        t        f                        | branch-closed",
+        ])
+
+    def test_a_mark_is_the_last_entry_on_the_stack(self):
+        """The split on p & T = f tries T = f, which closes, and then p = f,
+        a mark against p = t and the last untried case: its closed step,
+        at the split's mark, shows T unbound again."""
+        self.check("p -> (p & T)", "tautology", None, [
+            "-  -  -      f             | root-assumption",
+            "t  -  f      f             | forced",
+            "t  f  f      f             | branch-open",
+            "t  f  f      f             | branch-closed",
+            "t  -  f      f             | branch-closed",
+        ])
+
+    def test_a_first_case_closes_at_once(self):
+        """r | r = t has one case over the one column, r = t, bound at once
+        against r = f."""
+        self.check("r | !(r | r)", "tautology", None, [
+            "-  -      -         f             | root-assumption",
+            "f  -      f         f             | forced",
+            "f  t      f         f             | forced",
+            "f  t      f         f             | branch-closed",
+        ])
+
+    def test_a_later_case_that_conflicts_on_its_second_pair_is_bound(self):
+        """r <-> r = f splits into (r = t, r = f) and (r = f, r = t): each
+        binds r before its second pair conflicts, so its closed step shows
+        r bound, and the later case is pushed whole, not as a mark."""
+        self.check("r <-> r", "tautology", None, [
+            "-  f        | root-assumption",
+            "t  f        | branch-closed",
+            "f  f        | branch-closed",
+        ])
+        assert list(indirect_check(parse("r <-> r", MODERN_ASCII)).trace.steps.codes) == [3, 0, 1]
+
+    def test_a_falsifiable_search_stops_with_marks_untried(self):
+        """q | r = t tries q = t, which stays open, while its later case,
+        r = t against r = f, waits on the stack as a mark."""
+        self.check("!(q | r) | r", "falsifiable", {"q": T, "r": F}, [
+            "-  -  -      -         f             | root-assumption",
+            "-  f  -      f         f             | forced",
+            "-  f  t      f         f             | forced",
+            "t  f  t      f         f             | branch-open",
+        ])
 
 
 class TestStepBudget:
@@ -346,6 +428,28 @@ class TestStepBudget:
         assert stopped == {1023: 1024, 1024: 1026, 1025: 1026, 2047: 2049, 2048: 2049,
                            2049: 2051, 4095: 4097, 4096: 4097, 4097: 4099, 8191: 8193,
                            8192: 8193, 8193: 8199, 10000: 10002}
+
+    @pytest.mark.parametrize("comb, n, steps, digest", [
+        ("left", 6, 1151, "f8f9391aced6f0744134ccd88622387e1eb3ddf7a418a824f0cb28e74e3a1794"),
+        ("left", 7, 2815, "7ebaee604de3d31a93125c569f4438b24c4a051a8e261f2b7bba5d2bebcc8a9a"),
+        ("right", 6, 1151, "e3fc63576a8a3dafbea2d17cb7892adffcfe3f800dc3b04b7f651da74a5e1186"),
+        ("right", 7, 2815, "e9ddca0e045df3dfc74b6a1bc54e9f6c13aeed8f9cee97abd9deff28b52440a2"),
+    ])
+    def test_every_budget_stops_where_it_did(self, comb, n, steps, digest):
+        """Where the search stops for every budget from 0 to the whole
+        trace, hashed: the steps StepLimitError counts, or None for the
+        budget that returns the trace.  Pinned from the loop that pushed
+        every case whole, so settling cases moves no stop."""
+        formula = xor_equivalence(n, comb)
+        stopped = []
+        for budget in range(steps + 1):
+            try:
+                assert len(indirect_check(formula, max_steps=budget).trace.steps) == budget
+                stopped.append(None)
+            except StepLimitError as raised:
+                stopped.append(raised.steps)
+        assert stopped[-1] is None
+        assert hashlib.sha256(repr(stopped).encode()).hexdigest() == digest
 
     def test_a_budget_of_every_step_returns_the_whole_trace(self):
         formula = xor_equivalence(12)
@@ -451,6 +555,18 @@ class TestTraceSteps:
             assert len(trace.steps) == steps
             assert Counter(step.note for step in trace.steps) == {
                 NOTE_ROOT: 1, NOTE_BRANCH_OPEN: opened, NOTE_BRANCH_CLOSED: closed}
+
+    def test_note_counts(self):
+        """Every note in order, zeros too, as the steps' notes count them."""
+        traces = [indirect_check(formula).trace for formula in corpus_527()]
+        traces += [indirect_check(xor_equivalence(n)).trace for n in range(1, 11)]
+        for trace in traces:
+            counts = trace.steps.note_counts()
+            assert list(counts) == list(indirect.NOTES)
+            assert counts == {**dict.fromkeys(indirect.NOTES, 0),
+                              **Counter(step.note for step in trace.steps)}
+        assert traces[-1].steps.note_counts() == {
+            NOTE_ROOT: 1, NOTE_FORCED: 0, NOTE_BRANCH_OPEN: 17406, NOTE_BRANCH_CLOSED: 17408}
 
     def test_rows_size_is_the_written_length(self):
         """In the text and the JSON layout, for every corpus trace; the corpus
